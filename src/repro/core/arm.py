@@ -283,8 +283,7 @@ def cached_database(spec: FrameworkSpec) -> ApiDatabase | None:
 
     Keyed by object identity like :func:`build_api_database`'s memo:
     under the fork start method a pool worker inherits the parent's
-    built database, and a retry round's fresh pool must reuse it
-    instead of re-mining.
+    built database and must reuse it instead of re-mining.
     """
     return _DEFAULT_CACHE.get(id(spec))
 

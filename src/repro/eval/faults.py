@@ -215,9 +215,10 @@ class FaultPlan:
 
         Crash and corrupt faults are permanent (they are non-retryable
         anyway); worker-death faults are always transient
-        (``fail_attempts=1`` — one retry recovers the app, and a
-        *permanent* worker killer would also take collateral chunk
-        neighbours with it on every round); hangs are transient except
+        (``fail_attempts=1`` — one retry recovers the app; a death
+        costs only the app its worker held, so a *permanent* killer
+        would just quarantine itself, but a transient one exercises
+        respawn and recovery); hangs are transient except
         for a ``permanent_hang_fraction`` share, which must exhaust
         the retry budget and be quarantined as timeouts.
         """

@@ -8,9 +8,10 @@ backoff, quarantine, journaling, progress, and corpus-order assembly.
 A scheduler is reduced to a :class:`CorpusBackend` that answers one
 question: *how does one round of pending apps get analyzed?*  The
 serial backend walks them in order in-process; the pool backend
-(:class:`repro.eval.parallel.PoolBackend`) fans them out over worker
-processes.  Everything else — and therefore every fingerprint-relevant
-decision — is this module, once.
+(:class:`repro.eval.parallel.PoolBackend`) hands them, one app at a
+time, to resident worker processes that live across rounds.
+Everything else — and therefore every fingerprint-relevant decision —
+is this module, once.
 
 Scheduling works in *rounds*.  Round 0 covers the whole pending
 corpus.  If anything failed retryably (timeout, worker-lost,
@@ -39,6 +40,7 @@ from .runner import (
 )
 
 __all__ = [
+    "BackendClosedError",
     "CorpusBackend",
     "SerialBackend",
     "JobSource",
@@ -60,6 +62,12 @@ def apk_fingerprint(forged: ForgedApp) -> str | None:
         return fingerprint_apk(forged.apk)
     except Exception:  # noqa: BLE001 — uncacheable, not fatal
         return None
+
+
+class BackendClosedError(RuntimeError):
+    """:meth:`CorpusBackend.run_round` on a backend closed before or
+    during the round.  Nothing in the round was settled: its entries
+    never ran to a verdict and must not be recorded as terminal."""
 
 
 class CorpusBackend:
@@ -100,7 +108,9 @@ class CorpusBackend:
         self, pending: list[Entry], round_no: int
     ) -> Iterable[tuple[Entry, AppResult]]:
         """Analyze one round's entries, yielding each with its result
-        (in any order; :func:`run_corpus` restores corpus order)."""
+        (in any order; :func:`run_corpus` restores corpus order).
+        Raises :class:`BackendClosedError` when :meth:`close` ran
+        first or cut the round short."""
         raise NotImplementedError
 
     def finish(self, cache_dir: str | Path | None) -> dict:
@@ -384,7 +394,11 @@ def run_stream(
     Returns counters: ``analyzed``, ``retried``, ``quarantined``,
     ``rounds``.  Crash-safety (journaling, replay) is the *source's*
     job — this engine only guarantees exactly-one-terminal-delivery
-    per entry it took.
+    per entry it took.  The one exception is a backend closed under
+    the stream (a daemon drain that timed out): the stream then ends
+    at once and delivers nothing for the round in flight or the retry
+    window, so those entries stay non-terminal for the source to
+    replay.
     """
     stats = {"analyzed": 0, "retried": 0, "quarantined": 0, "rounds": 0}
     #: (ready_at, seq, entry) — a heap so the soonest retry leads.
@@ -423,7 +437,11 @@ def run_stream(
         if not prepared:
             backend.prepare(cache_dir, batch)
             prepared = True
-        for entry, result in backend.run_round(batch, stats["rounds"]):
+        try:
+            settled = backend.run_round(batch, stats["rounds"])
+        except BackendClosedError:
+            break
+        for entry, result in settled:
             index, forged, attempt = entry
             error = result.error
             if (

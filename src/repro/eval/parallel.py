@@ -1,149 +1,100 @@
-"""Parallel corpus-analysis engine.
+"""Parallel corpus analysis: one resident, self-healing worker pool.
 
 Large-scale studies vet thousands of apps; analyzing them strictly
 serially throws away both hardware parallelism and the fact that every
 per-app analysis shares the same immutable substrate (framework spec,
-API database).  This module schedules a corpus over a process pool:
+API database).  :class:`PoolBackend` is the one pooled scheduler, used
+by the batch engine (``run_tools(apps, jobs=N)`` →
+:func:`~repro.eval.orchestration.run_corpus`) and by the daemon
+(:class:`~repro.serve.service.AnalysisService` →
+:func:`~repro.eval.orchestration.run_stream`):
 
 * **shared substrate** — the parent prepares the substrate exactly
-  once per run (framework repository with the corpus's levels
-  pre-warmed, mined API database, optional framework summary table)
-  and every worker *attaches* instead of rebuilding: under fork the
-  prepared objects are inherited as copy-on-write pages; elsewhere a
-  protocol-5 :class:`~repro.cache.shared.SharedSubstrate` segment is
-  published once and mapped by each worker — including the fresh
-  pools of later retry rounds;
+  once per pool (the caller's framework repository and API database
+  when given, else loaded or built; the pending apps' framework levels
+  pre-warmed; optional framework summary table) and every worker
+  *attaches* instead of rebuilding: under fork the prepared objects
+  are inherited as copy-on-write pages; elsewhere a protocol-5
+  :class:`~repro.cache.shared.SharedSubstrate` segment is published
+  once and mapped by each worker — respawned ones included;
 * **worker bootstrap** — each worker resolves the substrate through a
   cheapest-first ladder (inherited parent substrate → in-process
-  build memo → shared segment → snapshot file → mine from the spec)
-  in its initializer; every app the worker analyzes afterwards hits
-  the worker-local framework class cache and database memo tables;
-* **chunked scheduling** — apps ship to workers in contiguous chunks
-  to amortize pickling overhead while keeping the pool busy;
-* **failure isolation** — a crashing or timed-out app yields an
-  :class:`~repro.eval.runner.AppResult` with a structured
-  :class:`~repro.core.errors.AnalysisError`, never a dead run; a
-  dying worker process poisons only the chunks it held, and the
-  engine rebuilds the pool and carries on;
-* **retry + quarantine** — retryable failures (timeout, worker-lost,
-  resource) are re-dispatched individually, each on a fresh round's
-  pool, up to ``max_retries`` times with bounded backoff; apps that
-  exhaust the budget are quarantined with their final error record;
-* **checkpoint/resume** — with a journal attached, every finalized
-  result is appended to JSONL as it completes; a killed run resumes
-  by skipping journaled indices and reproduces the uninterrupted
-  run's fingerprint;
-* **deterministic ordering** — results are reassembled in corpus
-  order, and per-app computation is the exact
-  :func:`~repro.eval.runner.analyze_app` the serial loop uses, so a
-  parallel run's :meth:`RunResults.fingerprint` is identical to a
-  serial run's.
+  build memo → shared segment → snapshot file → mine from the spec);
+  every app it analyzes afterwards hits the worker-local framework
+  class cache and database memo tables;
+* **resident workers, per-app dispatch** — each worker is one forked
+  process with a private duplex pipe and a slot in a shared heartbeat
+  array; the parent hands each idle worker one app at a time, and the
+  workers live for the whole run (or the daemon's lifetime), retry
+  rounds included;
+* **self-healing** — a **dead** worker (injected ``worker-death``, an
+  OOM kill, an operator's ``kill -9``) costs only the app it held:
+  that app is settled as a retryable ``worker-lost`` record and the
+  slot is **respawned in place**, so the pool never shrinks and no
+  other worker's app is disturbed.  A worker busy past the per-app
+  deadline plus ``hang_timeout_s`` (a wedged interpreter that
+  ``analyze_app``'s own deadline could not stop) is killed and
+  replaced the same way; ``hang_timeout_s=None`` disarms this
+  backstop, which is what a batch run without a per-app deadline
+  does: it never kills a slow app;
+* **exactly-once settlement** — results are matched on ``(index,
+  attempt)`` against a done-set, so a synthesized loss and a late real
+  result can never both be delivered; a round cut short by
+  :meth:`PoolBackend.close` settles nothing and raises
+  :class:`~repro.eval.orchestration.BackendClosedError`, so work that
+  never ran is never recorded as terminal;
+* **deterministic ordering** — per-app computation is the exact
+  :func:`~repro.eval.runner.analyze_app` the serial loop uses and
+  :func:`~repro.eval.orchestration.run_corpus` reassembles corpus
+  order, so a pooled run's :meth:`RunResults.fingerprint` is identical
+  to a serial run's.
 
-The engine is reached through ``run_tools(apps, jobs=N)`` or the
-``--jobs`` CLI flag; it has no public surface beyond
-:class:`ParallelConfig`, :class:`PoolBackend`, and
-:func:`run_tools_parallel`.  The retry/quarantine/checkpoint/cache
-envelope is NOT implemented here: it lives — once, shared verbatim
-with the serial scheduler — in :mod:`repro.eval.orchestration`.  This
-module contributes only the scheduling backend: worker bootstrap,
-chunked dispatch, and broken-pool recovery.
-
-Scheduling works in *rounds*.  Round 0 fans the whole corpus out in
-contiguous chunks over one pool.  If anything retryable failed, round
-``r`` re-dispatches those apps as single-app tasks on a **fresh**
-pool — a new pool per round is what makes worker death survivable at
-all: a dead process breaks its ``ProcessPoolExecutor`` beyond reuse,
-so every future still in flight is drained (synthesized as
-``worker-lost``, retryable), the broken pool is discarded, and the
-next round starts clean.  A fault-free run takes exactly one round
-and one pool — the tolerance machinery costs nothing until something
-actually breaks.
+The retry/quarantine/checkpoint/cache envelope is NOT implemented
+here: it lives — once, shared verbatim with the serial scheduler and
+the daemon — in :mod:`repro.eval.orchestration`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import threading
+import time
+from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from multiprocessing import connection
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.arm import build_api_database, cached_database, register_database
 from ..core.errors import AnalysisError, AnalysisPhase, ErrorKind
 from ..framework.repository import FrameworkCacheStats, FrameworkRepository
 from ..framework.spec import FrameworkSpec
-from ..workload.appgen import ForgedApp
-from .orchestration import CorpusBackend, run_corpus
-from .runner import (
-    AppResult,
-    DEFAULT_TOOLS,
-    RunResults,
-    ToolSet,
-    analyze_app,
+# ``run_corpus`` stays importable from here: perfbench traces it as
+# ``repro.eval.parallel.run_corpus``.
+from .orchestration import (  # noqa: F401
+    BackendClosedError,
+    CorpusBackend,
+    Entry,
+    run_corpus,
 )
+from .runner import AppResult, DEFAULT_TOOLS, ToolSet, analyze_app
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from .faults import FaultPlan
 
-__all__ = ["ParallelConfig", "PoolBackend", "run_tools_parallel"]
+__all__ = ["HANG_GRACE_S", "PoolBackend"]
 
-#: One work item: corpus index, the app, and its 0-based attempt.
-_Entry = tuple[int, ForgedApp, int]
+#: Default grace on top of the per-app deadline before the parent
+#: kills a busy worker as hung.
+HANG_GRACE_S = 30.0
 
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs for one parallel run."""
-
-    #: Worker process count.
-    jobs: int = 2
-    #: Apps per pool task; ``None`` picks a size that gives each
-    #: worker several chunks (load balancing) without making tasks so
-    #: small that pickling dominates.
-    chunk_size: int | None = None
-    #: Per-app wall-clock budget (enforced inside workers).
-    timeout_s: float | None = None
-    #: Tool names each worker instantiates.
-    include: tuple[str, ...] = DEFAULT_TOOLS
-    #: Re-attempts for retryable failures (timeout, worker-lost,
-    #: resource) before an app is quarantined.  Each retry is a
-    #: single-app task on a fresh round's pool.
-    max_retries: int = 0
-    #: Base of the bounded exponential backoff slept between retry
-    #: rounds (0 = retry immediately).
-    retry_backoff_s: float = 0.0
-    #: Injected faults for chaos testing (None in production runs).
-    fault_plan: "FaultPlan | None" = None
-    #: Persistent cache directory (:mod:`repro.cache`); ``None``
-    #: disables both the result cache and framework snapshots.
-    cache_dir: str | None = None
-    #: Bound the CLVM at the framework boundary with whole-framework
-    #: pre-summaries (same findings as lazy; parity-tested).
-    summaries: bool = False
-    #: Delta analysis against the corpus-wide class-artifact store
-    #: (same findings as lazy; parity-tested).  The store lives under
-    #: ``cache_dir`` so workers share it across rounds and runs.
-    dedup: bool = False
-
-    def resolved_chunk_size(self, corpus_size: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        per_worker = corpus_size / max(1, self.jobs)
-        return max(1, min(16, round(per_worker / 4) or 1))
+#: How long one pass of the dispatch loop waits for an answer before
+#: it re-checks worker liveness.
+_DRAIN_POLL_S = 0.05
 
 
 # -- worker side -----------------------------------------------------------
 
-#: One tool set per worker process, built by the pool initializer and
-#: reused for every chunk the worker receives — this is where the
-#: cross-app framework/database caches live.
-_WORKER_TOOLSET: ToolSet | None = None
-#: The run's fault plan, shipped once via the initializer.
-_WORKER_FAULTS: "FaultPlan | None" = None
-#: The substrate the parent prepared before forking the pool; workers
-#: inherit it as copy-on-write pages and skip every rebuild path.
-_PARENT_SUBSTRATE: "tuple[FrameworkRepository, object] | None" = None
 #: The shared segment this worker attached (kept open for the process
 #: lifetime: the decoded payload may reference the mapped pages).
 _WORKER_SEGMENT = None
@@ -152,33 +103,30 @@ _WORKER_SEGMENT = None
 def _init_worker(
     spec: FrameworkSpec,
     include: tuple[str, ...],
-    fault_plan: "FaultPlan | None" = None,
+    inherited: "tuple[FrameworkRepository, object] | None" = None,
     snapshot_file: str | None = None,
     shared_handle=None,
     summaries: bool = False,
     cache_dir: str | None = None,
     dedup: bool = False,
-) -> None:
-    global _WORKER_TOOLSET, _WORKER_FAULTS, _WORKER_SEGMENT
+) -> ToolSet:
+    """Resolve the substrate in this worker and build its tool set."""
+    global _WORKER_SEGMENT
     # Substrate resolution order, cheapest first:
     #
     # 1. the parent-prepared substrate — under the fork start method
-    #    every worker (in *every* round's fresh pool) inherits the
-    #    parent's pre-warmed repository and mined database as
-    #    copy-on-write pages: zero per-worker rebuild cost;
-    # 2. the in-process build memo (fork, parent built but did not
-    #    call prepare — e.g. a retry pool after close());
+    #    every worker (respawned ones included) inherits the parent's
+    #    pre-warmed repository and mined database as copy-on-write
+    #    pages: zero per-worker rebuild cost;
+    # 2. the in-process build memo (fork, database only);
     # 3. the shared-memory substrate segment (spawn platforms, one
     #    deserialization instead of a re-mine + disk read per worker);
     # 4. the on-disk framework snapshot;
     # 5. mining from the spec (no cache at all).
     framework: FrameworkRepository | None = None
     apidb = None
-    if (
-        _PARENT_SUBSTRATE is not None
-        and _PARENT_SUBSTRATE[0].spec is spec
-    ):
-        framework, apidb = _PARENT_SUBSTRATE
+    if inherited is not None:
+        framework, apidb = inherited
     if apidb is None:
         apidb = cached_database(spec)
     if apidb is None and shared_handle is not None:
@@ -213,7 +161,7 @@ def _init_worker(
     # but the accounting must cover only this worker's activity.
     apidb.reset_cache_counters()
     framework.cache_stats = FrameworkCacheStats()
-    _WORKER_TOOLSET = ToolSet.default(
+    return ToolSet.default(
         framework,
         apidb,
         include=include,
@@ -222,39 +170,56 @@ def _init_worker(
         dedup=dedup,
         dedup_dir=cache_dir,
     )
-    _WORKER_FAULTS = fault_plan
 
 
-def _analyze_chunk(
-    chunk: list[_Entry],
-    timeout_s: float | None,
-) -> tuple[int, list[tuple[int, AppResult]], dict]:
-    """Analyze one chunk in this worker; returns results tagged with
-    their corpus indices plus the worker's cumulative cache stats."""
-    toolset = _WORKER_TOOLSET
-    if toolset is None:  # pragma: no cover — initializer always ran
-        raise RuntimeError("worker initialized without a tool set")
-    out = []
-    for index, forged, attempt in chunk:
-        fault = (
-            _WORKER_FAULTS.fault_for(index)
-            if _WORKER_FAULTS is not None
-            else None
+def _worker_main(
+    conn, heartbeat, slot: int, spec: FrameworkSpec, *setup
+) -> None:
+    """One resident worker: bootstrap the substrate, then serve tasks
+    off the pipe until the ``None`` sentinel (or pipe loss).
+    ``setup`` is :func:`_init_worker`'s arguments after the spec."""
+    import signal as _signal
+
+    # A daemon's drain handler belongs to the parent; a worker that
+    # inherited it must die plainly when terminated.
+    try:
+        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+    except (ValueError, OSError):  # pragma: no cover
+        pass
+    toolset = _init_worker(spec, *setup)
+    heartbeat[slot] = time.time()
+    parent = os.getppid()
+    while True:
+        try:
+            # A plain blocking recv() would wedge forever if the
+            # parent is SIGKILLed: forked siblings inherit each
+            # other's parent-end pipe fds, so EOF never arrives.
+            # Poll with a deadline and watch for reparenting instead.
+            while not conn.poll(1.0):
+                if os.getppid() != parent:  # orphaned by kill -9
+                    return
+            task = conn.recv()
+        except (EOFError, OSError):  # parent died or closed the pipe
+            return
+        if task is None:
+            return
+        index, forged, attempt, timeout_s, fault = task
+        heartbeat[slot] = time.time()
+        result = analyze_app(
+            toolset,
+            forged,
+            timeout_s=timeout_s,
+            fault=fault,
+            attempt=attempt,
+            allow_process_death=True,
         )
-        out.append(
-            (
-                index,
-                analyze_app(
-                    toolset,
-                    forged,
-                    timeout_s=timeout_s,
-                    fault=fault,
-                    attempt=attempt,
-                    allow_process_death=True,
-                ),
+        heartbeat[slot] = time.time()
+        try:
+            conn.send(
+                (os.getpid(), index, attempt, result, toolset.cache_stats())
             )
-        )
-    return os.getpid(), out, toolset.cache_stats()
+        except (BrokenPipeError, OSError):  # pragma: no cover
+            return
 
 
 # -- parent side -----------------------------------------------------------
@@ -269,14 +234,14 @@ def _pool_context():
 
 
 def _worker_lost_results(
-    chunk: list[_Entry], exc: BaseException
+    entries: list[Entry], exc: BaseException
 ) -> list[tuple[int, AppResult]]:
-    """Synthesize failure records when a whole worker task died (the
-    worker process was killed, or the task could not complete): the
-    run continues, the chunk's apps are recorded as ``worker-lost``
-    and — being retryable — re-dispatched if budget remains."""
+    """Synthesize failure records for apps a worker held when it died
+    or hung: the run continues, the apps are recorded as
+    ``worker-lost`` and — being retryable — re-dispatched if budget
+    remains."""
     out = []
-    for index, forged, attempt in chunk:
+    for index, forged, attempt in entries:
         error = AnalysisError(
             kind=ErrorKind.WORKER_LOST,
             phase=AnalysisPhase.TOOL,
@@ -376,66 +341,75 @@ def _merge_cache_stats(snapshots: dict[int, dict]) -> dict:
     return merged
 
 
-def _run_round(
-    chunks: list[list[_Entry]],
-    spec: FrameworkSpec,
-    config: ParallelConfig,
-    worker_stats: dict[int, dict],
-    snapshot_file: str | None = None,
-    shared_handle=None,
-) -> list[tuple[_Entry, AppResult]]:
-    """Dispatch one round's chunks over a fresh pool and drain every
-    future — including the ones a dying worker broke."""
-    entry_by_index = {
-        entry[0]: entry for chunk in chunks for entry in chunk
-    }
-    out: list[tuple[_Entry, AppResult]] = []
-    with ProcessPoolExecutor(
-        max_workers=config.jobs,
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=(
-            spec,
-            config.include,
-            config.fault_plan,
-            snapshot_file,
-            shared_handle,
-            config.summaries,
-            config.cache_dir,
-            config.dedup,
-        ),
-    ) as pool:
-        futures = {
-            pool.submit(_analyze_chunk, chunk, config.timeout_s): chunk
-            for chunk in chunks
-        }
-        for future in as_completed(futures):
-            chunk = futures[future]
-            try:
-                pid, results, snapshot = future.result()
-            except Exception as exc:  # noqa: BLE001 — isolate the chunk
-                # BrokenProcessPool lands here for the chunk whose
-                # worker died *and* for every chunk still queued on
-                # the now-broken pool; all of them come back as
-                # retryable worker-lost records.
-                results = _worker_lost_results(chunk, exc)
-            else:
-                worker_stats[pid] = snapshot
-            for index, result in results:
-                out.append((entry_by_index[index], result))
-    return out
+def _pending_levels(pending: Iterable[Entry]) -> list[int]:
+    """The framework levels a round over ``pending`` will touch."""
+    levels: set[int] = set()
+    for _index, forged, _attempt in pending:
+        try:
+            levels.add(forged.apk.manifest.effective_max_sdk)
+        except Exception:  # noqa: BLE001 — hostile app: its own
+            continue  # analysis will record the failure, not prep
+    return sorted(levels)
+
+
+@dataclass
+class _Worker:
+    process: object
+    conn: object
 
 
 class PoolBackend(CorpusBackend):
-    """Process-pool scheduler: fresh pool per round, chunked round 0,
-    single-app retry rounds."""
+    """Resident, self-healing worker pool behind both the batch engine
+    and the streaming daemon."""
 
-    def __init__(self, spec: FrameworkSpec, config: ParallelConfig) -> None:
+    def __init__(
+        self,
+        spec: FrameworkSpec,
+        *,
+        workers: int = 2,
+        include: tuple[str, ...] = DEFAULT_TOOLS,
+        timeout_s: float | None = None,
+        hang_timeout_s: float | None = HANG_GRACE_S,
+        summaries: bool = False,
+        cache_dir: str | None = None,
+        dedup: bool = False,
+        fault_plan: "FaultPlan | None" = None,
+        substrate: "tuple[FrameworkRepository, object] | None" = None,
+    ) -> None:
         self._spec = spec
-        self._config = config
+        self.workers = max(1, workers)
+        self.include = tuple(include)
+        #: Per-app wall-clock budget, enforced inside the workers.
+        self.timeout_s = timeout_s
+        #: Grace on top of ``timeout_s`` before a busy worker is
+        #: declared hung (see :meth:`_hang_deadline`); ``None`` never
+        #: declares one hung.
+        self.hang_timeout_s = hang_timeout_s
+        self.summaries = summaries
+        #: Persistent cache directory: substrate snapshot, summary and
+        #: class-artifact stores (``None`` disables all three).
+        self.cache_dir = cache_dir
+        self.dedup = dedup
+        self.fault_plan = fault_plan
+        self._substrate = substrate
+        self._ctx = _pool_context()
+        # Lock-free: a worker killed (or stopped) mid-write must not
+        # leave a lock that wedges the parent's health reads.
+        self._heartbeat = self._ctx.Array("d", self.workers, lock=False)
+        self._pool: list[_Worker | None] = [None] * self.workers
+        self._inflight: dict[int, tuple[Entry, float]] = {}
         self._worker_stats: dict[int, dict] = {}
-        self._snapshot_file: str | None = None
+        self._setup: tuple = ()
         self._segment = None
+        #: Serializes spawning against :meth:`close` so a respawn that
+        #: races a concurrent close cannot leave an orphan worker.
+        self._lock = threading.Lock()
+        self._started = False
+        self._closed = False
+        self.restarts = 0
+        self.substrate_source: str | None = None
+
+    # -- CorpusBackend surface -----------------------------------------
 
     @property
     def spec(self) -> FrameworkSpec:
@@ -443,67 +417,66 @@ class PoolBackend(CorpusBackend):
 
     @property
     def tool_names(self) -> tuple[str, ...]:
-        return self._config.include
+        return self.include
 
     def config_options(self) -> dict:
         options: dict = {}
-        if self._config.summaries:
+        if self.summaries:
             options["summaries"] = True
-        if self._config.dedup:
+        if self.dedup:
             options["dedup"] = True
         return options
 
-    def prepare(self, cache_dir, pending=()) -> None:
-        # Prepare the substrate ONCE in the parent — repository with
-        # every pending framework level pre-warmed, mined database,
-        # and (when enabled) the framework summary table — so that
-        # under fork every worker of every round — including retry
-        # rounds' fresh pools — inherits the finished substrate as
-        # copy-on-write pages instead of rebuilding its own.  Non-fork
-        # start methods get the same substrate through a shared-memory
-        # segment published here and attached by each initializer,
-        # with the snapshot file as the final fallback.
-        from ..cache.snapshot import load_or_build_substrate
+    def prepare(self, cache_dir=None, pending: Iterable[Entry] = ()) -> None:
+        """Load (or adopt) the substrate once, pre-warm the framework
+        levels and summary tables ``pending`` will touch, publish the
+        substrate to workers, and spawn the pool.  Idempotent, and a
+        no-op on a closed pool.  The snapshot and stores live under the
+        pool's own ``cache_dir``; the argument is the
+        :class:`CorpusBackend` signature's."""
+        if self._started or self._closed:
+            return
+        if self._substrate is None:
+            from ..cache.snapshot import load_or_build_substrate
 
-        global _PARENT_SUBSTRATE
-        framework, apidb, _source = load_or_build_substrate(
-            self._config.cache_dir, self._spec
-        )
+            framework, apidb, source = load_or_build_substrate(
+                self.cache_dir, self._spec
+            )
+        else:
+            framework, apidb = self._substrate
+            source = "provided"
+        self.substrate_source = source
         register_database(self._spec, apidb)
-        if self._config.cache_dir is not None:
+        snapshot_file = None
+        if self.cache_dir is not None:
             from ..cache import ensure_snapshot
 
-            self._snapshot_file = str(
-                ensure_snapshot(self._config.cache_dir, framework, apidb)
+            snapshot_file = str(
+                ensure_snapshot(self.cache_dir, framework, apidb)
             )
-        levels: set[int] = set()
-        for _index, forged, _attempt in pending:
-            try:
-                levels.add(forged.apk.manifest.effective_max_sdk)
-            except Exception:  # noqa: BLE001 — hostile app: its own
-                continue  # analysis will record the failure, not prep
-        levels = sorted(levels)
+        levels = _pending_levels(pending)
         for level in levels:
             try:
                 framework.warm_level(level)
             except ValueError:  # level outside the modeled range
                 continue
-        if self._config.summaries:
+        if self.summaries:
             from ..analysis.fwsummaries import summary_table
 
+            # Materialize the table parent-side so forked workers
+            # inherit it as copy-on-write pages.
             table = summary_table(
-                framework, apidb, store_dir=self._config.cache_dir
+                framework, apidb, store_dir=self.cache_dir
             )
             for level in levels:
                 try:
                     table.level_summaries(level)
                 except ValueError:  # pragma: no cover — range-checked
                     continue
-        _PARENT_SUBSTRATE = (framework, apidb)
-        if (
-            _pool_context().get_start_method() != "fork"
-            or os.environ.get("REPRO_FORCE_SHARED_SUBSTRATE")
-        ):
+        # Fork workers inherit the substrate; non-fork platforms (and
+        # chaos runs forcing the segment path) get a shared segment.
+        fork = self._ctx.get_start_method() == "fork"
+        if not fork or os.environ.get("REPRO_FORCE_SHARED_SUBSTRATE"):
             from ..cache import fingerprint_spec
             from ..cache.shared import SharedSubstrate
             from ..cache.snapshot import substrate_payload
@@ -512,37 +485,73 @@ class PoolBackend(CorpusBackend):
             self._segment = SharedSubstrate.publish(
                 substrate_payload(framework, apidb, key), key
             )
+        self._setup = (
+            self.include,
+            (framework, apidb) if fork else None,
+            snapshot_file,
+            self._segment.handle if self._segment is not None else None,
+            self.summaries,
+            self.cache_dir,
+            self.dedup,
+        )
+        for slot in range(self.workers):
+            self._spawn(slot)
+        self._started = True
 
     def run_round(
-        self, pending: list[_Entry], round_no: int
-    ) -> list[tuple[_Entry, AppResult]]:
-        config = self._config
-        if round_no == 0:
-            chunk_size = config.resolved_chunk_size(len(pending))
-        else:
-            # Retry rounds: single-app re-dispatch on a fresh pool.
-            chunk_size = 1
-        chunks = [
-            pending[start:start + chunk_size]
-            for start in range(0, len(pending), chunk_size)
-        ]
-        return _run_round(
-            chunks, self._spec, config, self._worker_stats,
-            self._snapshot_file,
-            self._segment.handle if self._segment is not None else None,
-        )
+        self, pending: list[Entry], round_no: int
+    ) -> list[tuple[Entry, AppResult]]:
+        """Dispatch one round over the resident pool, surviving worker
+        death and hangs without losing a single entry.  A round on a
+        closed pool — ``close()`` from another thread mid-round, as a
+        timed-out daemon drain does — raises
+        :class:`~repro.eval.orchestration.BackendClosedError` instead
+        of settling entries that never ran."""
+        if not self._started:
+            self.prepare()
+        out: list[tuple[Entry, AppResult]] = []
+        todo: deque[Entry] = deque(pending)
+        done: set[tuple[int, int]] = set()
 
-    def finish(self, cache_dir) -> dict:
+        def _settle(entry: Entry, result: AppResult) -> None:
+            key = (entry[0], entry[2])
+            if key in done:
+                return
+            done.add(key)
+            out.append((entry, result))
+
+        def _lose(entries: list[Entry], exc: BaseException) -> None:
+            for entry, (_index, result) in zip(
+                entries, _worker_lost_results(entries, exc)
+            ):
+                _settle(entry, result)
+
+        while len(out) < len(pending):
+            if self._closed:
+                raise BackendClosedError("worker pool closed mid-round")
+            try:
+                self._feed(todo)
+                self._collect(todo, _settle)
+                self._replace_dead_and_hung(_lose)
+            except Exception:
+                # A concurrent close() tears pipes down under the
+                # loop; the closed check above ends the round.
+                if not self._closed:
+                    raise
+        return out
+
+    def finish(self, cache_dir=None) -> dict:
         merged = _merge_cache_stats(self._worker_stats)
-        if self._config.dedup and self._config.cache_dir is not None:
-            # Workers write artifacts atomically but save the shared
-            # manifest last-writer-wins; the parent adopts anything the
-            # surviving manifest missed and enforces the byte budget.
+        if self.dedup and self.cache_dir is not None:
+            # Workers write class artifacts atomically but save the
+            # shared manifest last-writer-wins; the parent adopts
+            # anything the surviving manifest missed and enforces the
+            # byte budget.
             from ..cache import fingerprint_config, fingerprint_spec
             from ..cache.classes import CLASS_ARTIFACT_VERSION, class_store
 
             store = class_store(
-                self._config.cache_dir,
+                self.cache_dir,
                 framework_fingerprint=fingerprint_spec(self._spec),
                 config_fingerprint=fingerprint_config(
                     ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
@@ -552,47 +561,195 @@ class PoolBackend(CorpusBackend):
         return merged
 
     def close(self) -> None:
-        # Guaranteed teardown (run_corpus calls this from a finally,
-        # and SharedSubstrate has its own atexit guard on top): the
-        # published segment is unlinked exactly once, and the parent
-        # substrate reference is dropped so a later run with a
-        # different spec cannot see a stale one.
-        global _PARENT_SUBSTRATE
+        """Stop every worker and unlink the shared segment.  Idempotent
+        and safe mid-round from another thread (``run_corpus`` calls it
+        from a ``finally``, the daemon from its drain path)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, [None] * self.workers
+        live = [worker for worker in pool if worker is not None]
+        for worker in live:
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        for worker in live:
+            worker.process.join(timeout=1.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=1.0)
+            if worker.process.is_alive():  # pragma: no cover — stuck
+                worker.process.kill()
+                worker.process.join(timeout=1.0)
+            worker.conn.close()
+        self._inflight.clear()
         if self._segment is not None:
             self._segment.close(unlink=True)
             self._segment = None
-        if (
-            _PARENT_SUBSTRATE is not None
-            and _PARENT_SUBSTRATE[0].spec is self._spec
-        ):
-            _PARENT_SUBSTRATE = None
 
+    # -- worker lifecycle ----------------------------------------------
 
-def run_tools_parallel(
-    apps: Iterable[ForgedApp],
-    spec: FrameworkSpec,
-    config: ParallelConfig,
-    *,
-    progress: Callable[[str], None] | None = None,
-    checkpoint: str | Path | None = None,
-) -> RunResults:
-    """Analyze ``apps`` over a pool of ``config.jobs`` workers.
+    def _spawn(self, slot: int) -> bool:
+        with self._lock:
+            if self._closed:
+                return False
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            process = self._ctx.Process(
+                target=_worker_main,
+                args=(child_conn, self._heartbeat, slot, self._spec)
+                + self._setup,
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            self._pool[slot] = _Worker(process=process, conn=parent_conn)
+            return True
 
-    Results are returned in corpus order whatever order workers finish
-    in; every app yields exactly one :class:`AppResult`, failed or
-    not.  The retry/quarantine/checkpoint/cache envelope is
-    :func:`repro.eval.orchestration.run_corpus` — shared verbatim with
-    the serial scheduler; this function only supplies the pool
-    backend.
-    """
-    backend = PoolBackend(spec, config)
-    return run_corpus(
-        apps,
-        backend,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_s,
-        fault_plan=config.fault_plan,
-        checkpoint=checkpoint,
-        cache_dir=config.cache_dir,
-        progress=progress,
-    )
+    def _respawn(self, slot: int) -> None:
+        worker = self._pool[slot]
+        if worker is not None:
+            worker.conn.close()
+            if worker.process.is_alive():
+                worker.process.kill()
+            worker.process.join(timeout=5.0)
+        if self._spawn(slot):
+            self.restarts += 1
+
+    # -- dispatch ------------------------------------------------------
+
+    def _hang_deadline(self) -> float | None:
+        """Seconds a worker may stay busy on one app before the parent
+        kills it as hung; ``None`` when the backstop is disarmed.
+
+        ``analyze_app`` enforces ``timeout_s`` inside the worker, so a
+        healthy worker answers within roughly one timeout and the hang
+        deadline is only the backstop for a truly wedged process."""
+        if self.hang_timeout_s is None:
+            return None
+        return (self.timeout_s or 0.0) + self.hang_timeout_s
+
+    def _feed(self, todo: deque[Entry]) -> None:
+        """Hand one entry to every idle live worker."""
+        for slot in range(self.workers):
+            if not todo:
+                return
+            worker = self._pool[slot]
+            if worker is None or slot in self._inflight:
+                continue
+            if not worker.process.is_alive():
+                self._respawn(slot)
+                worker = self._pool[slot]
+                if worker is None:
+                    continue
+            entry = todo.popleft()
+            fault = (
+                self.fault_plan.analysis_fault_for(entry[0])
+                if self.fault_plan is not None
+                else None
+            )
+            try:
+                worker.conn.send(
+                    (entry[0], entry[1], entry[2], self.timeout_s, fault)
+                )
+            except (BrokenPipeError, OSError):
+                todo.appendleft(entry)
+                self._respawn(slot)
+                continue
+            self._inflight[slot] = (entry, time.monotonic())
+
+    def _collect(self, todo: deque[Entry], settle) -> None:
+        """Wait briefly for answers and settle whatever is ready."""
+        busy = {
+            worker.conn: slot
+            for slot, worker in enumerate(self._pool)
+            if worker is not None and slot in self._inflight
+        }
+        if not busy:
+            return
+        for ready in connection.wait(list(busy), timeout=_DRAIN_POLL_S):
+            slot = busy[ready]
+            try:
+                pid, index, attempt, result, stats = ready.recv()
+            except (EOFError, OSError):
+                # Worker died between wait() and recv(): the death
+                # path synthesizes the loss.
+                continue
+            held = self._inflight.pop(slot, None)
+            self._worker_stats[pid] = stats
+            if held is None:
+                continue
+            entry = held[0]
+            if (index, attempt) != (entry[0], entry[2]):
+                # A stale answer on a recycled slot (should be
+                # unreachable with per-respawn fresh pipes): drop the
+                # message, re-dispatch the held entry.
+                todo.append(entry)
+                continue
+            settle(entry, result)
+
+    def _replace_dead_and_hung(self, lose) -> None:
+        """Respawn dead workers and kill hung ones, settling whatever
+        they held as lost."""
+        deadline = self._hang_deadline()
+        now = time.monotonic()
+        for slot, worker in enumerate(self._pool):
+            if worker is None:
+                continue
+            held = self._inflight.get(slot)
+            if worker.process.is_alive():
+                if (
+                    held is None
+                    or deadline is None
+                    or now - held[1] <= deadline
+                ):
+                    continue
+                exc: BaseException = TimeoutError(
+                    f"worker pid {worker.process.pid} hung past "
+                    f"{deadline:.1f}s"
+                )
+            else:
+                exc = RuntimeError(f"worker pid {worker.process.pid} died")
+            if held is not None:
+                self._inflight.pop(slot, None)
+                lose([held[0]], exc)
+            self._respawn(slot)
+
+    # -- observability -------------------------------------------------
+
+    def cache_stats(self) -> dict:
+        """Merged per-worker cache statistics (latest snapshot per
+        pid) without the flush side effects of :meth:`finish` — the
+        daemon's ``/statsz`` read path."""
+        return _merge_cache_stats(self._worker_stats)
+
+    def liveness(self) -> dict:
+        """Pool health for ``/healthz``: per-slot liveness, busyness,
+        heartbeats, and the respawn count.  PIDs are exposed so chaos
+        tests (and the CI smoke) can kill a real worker."""
+        now = time.time()
+        alive = busy = 0
+        pids: list[int | None] = []
+        heartbeat_age: list[float | None] = []
+        for slot, worker in enumerate(self._pool):
+            if worker is None:
+                pids.append(None)
+                heartbeat_age.append(None)
+                continue
+            if worker.process.is_alive():
+                alive += 1
+            if slot in self._inflight:
+                busy += 1
+            pids.append(worker.process.pid)
+            beat = self._heartbeat[slot]
+            heartbeat_age.append(round(now - beat, 3) if beat else None)
+        return {
+            "workers": self.workers,
+            "alive": alive,
+            "busy": busy,
+            "restarts": self.restarts,
+            "pids": pids,
+            "heartbeat_age_s": heartbeat_age,
+            "substrate_source": self.substrate_source,
+        }

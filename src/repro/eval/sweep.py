@@ -135,20 +135,17 @@ def sweep_framework_scale(
     pre-summaries (same findings, summarized explore phase).
     """
     if jobs > 1 and len(bulk_sizes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(bulk_sizes))
-        ) as pool:
-            return list(
-                pool.map(
-                    _sweep_point,
-                    bulk_sizes,
-                    (probes_per_point,) * len(bulk_sizes),
-                    (seed,) * len(bulk_sizes),
-                    (cache_dir,) * len(bulk_sizes),
-                    (summaries,) * len(bulk_sizes),
-                )
+        # A plain one-shot map: sweep points are whole measurements,
+        # not apps, so they do not go through the analysis pool.
+        with multiprocessing.Pool(min(jobs, len(bulk_sizes))) as pool:
+            return pool.starmap(
+                _sweep_point,
+                [
+                    (bulk, probes_per_point, seed, cache_dir, summaries)
+                    for bulk in bulk_sizes
+                ],
             )
     return [
         _sweep_point(bulk, probes_per_point, seed, cache_dir, summaries)

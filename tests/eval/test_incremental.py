@@ -349,13 +349,13 @@ class TestRetryRoundSubstrateReuse:
     def test_retry_rounds_inherit_parent_database(
         self, framework, apidb, small_corpus, baseline
     ):
-        """A retrying parallel run (multiple fresh pools) stays
+        """A retrying parallel run (a worker respawned mid-run) stays
         fingerprint-identical and recovers the transient fault —
-        with the parent-built database inherited by every round."""
+        with the parent-built database inherited by every worker."""
         from repro.core.arm import cached_database
 
-        # Worker death is retryable: round 1 dispatches the app on a
-        # fresh pool, whose workers must inherit the substrate.
+        # Worker death is retryable: round 1 may dispatch the app to
+        # the respawned worker, which must inherit the substrate.
         plan = FaultPlan(
             {
                 1: InjectedFault(

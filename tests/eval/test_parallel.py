@@ -17,13 +17,15 @@ from repro.cli import build_parser
 from repro.core.errors import ErrorKind
 from repro.eval import (
     AppTimeoutError,
-    ParallelConfig,
+    FaultKind,
+    FaultPlan,
+    InjectedFault,
     RunResults,
     ToolSet,
     analyze_app,
     run_tools,
-    run_tools_parallel,
 )
+from repro.eval.parallel import HANG_GRACE_S, PoolBackend
 from repro.workload.appgen import ForgedApp
 from repro.workload.corpus import CorpusConfig, generate_corpus
 from repro.workload.groundtruth import GroundTruth
@@ -36,6 +38,11 @@ SMALL_CORPUS = CorpusConfig(count=6, kloc_median=1.5, kloc_max=4.0)
 @pytest.fixture(scope="module")
 def small_corpus(apidb):
     return [member.forged for member in generate_corpus(SMALL_CORPUS, apidb)]
+
+
+@pytest.fixture(scope="module")
+def saintdroid(framework, apidb):
+    return ToolSet.default(framework, apidb, include=("SAINTDroid",))
 
 
 class _KaboomApk:
@@ -69,7 +76,7 @@ class TestEquivalence:
     ):
         toolset = ToolSet.default(framework, apidb)
         serial = run_tools(small_corpus, toolset)
-        parallel = run_tools(small_corpus, toolset, jobs=3, chunk_size=2)
+        parallel = run_tools(small_corpus, toolset, jobs=3)
         assert serial.fingerprint() == parallel.fingerprint()
         assert len(parallel) == len(small_corpus)
         assert [r.app for r in parallel.results] == [
@@ -77,10 +84,9 @@ class TestEquivalence:
         ]
 
     def test_parallel_cache_stats_merged(
-        self, spec, small_corpus
+        self, saintdroid, small_corpus
     ):
-        config = ParallelConfig(jobs=2, chunk_size=2, include=("SAINTDroid",))
-        out = run_tools_parallel(small_corpus, spec, config)
+        out = run_tools(small_corpus, saintdroid, jobs=2)
         stats = out.cache_stats
         assert stats["workers"] >= 1
         # From the second app onward the framework image and database
@@ -89,21 +95,18 @@ class TestEquivalence:
         assert stats["apidb"]["levels_hits"] > 0
         assert 0.0 < stats["apidb"]["hit_rate"] <= 1.0
 
-    def test_empty_corpus(self, spec):
-        out = run_tools_parallel([], spec, ParallelConfig(jobs=2))
+    def test_empty_corpus(self, saintdroid):
+        out = run_tools([], saintdroid, jobs=2)
         assert isinstance(out, RunResults)
         assert len(out) == 0
 
 
 class TestFailureIsolation:
     def test_poisoned_app_does_not_kill_the_run(
-        self, spec, small_corpus
+        self, saintdroid, small_corpus
     ):
         apps = [small_corpus[0], _kaboom(), small_corpus[1]]
-        config = ParallelConfig(
-            jobs=2, chunk_size=1, include=("SAINTDroid",)
-        )
-        out = run_tools_parallel(apps, spec, config)
+        out = run_tools(apps, saintdroid, jobs=2)
         assert [r.app for r in out.results] == [
             small_corpus[0].apk.name, "kaboom", small_corpus[1].apk.name
         ]
@@ -116,6 +119,29 @@ class TestFailureIsolation:
         assert bad.reports == {}
         assert out.failed_apps == ("kaboom",)
         assert out.error_summary() == {"crash": 1}
+
+    def test_worker_death_costs_only_its_own_app(
+        self, saintdroid, small_corpus
+    ):
+        # A permanent worker killer with no retry budget: the dying
+        # worker's app is quarantined, every other app is analyzed.
+        k = 2
+        plan = FaultPlan(
+            faults={
+                k: InjectedFault(FaultKind.WORKER_DEATH, fail_attempts=None)
+            }
+        )
+        out = run_tools(
+            small_corpus, saintdroid, jobs=2, max_retries=0,
+            fault_plan=plan,
+        )
+        quarantined = {
+            index
+            for index, result in enumerate(out.results)
+            if result.error is not None
+        }
+        assert quarantined == plan.expected_quarantine(0) == {k}
+        assert out.results[k].error.kind is ErrorKind.WORKER_LOST
 
     def test_serial_error_capture(self, framework, apidb):
         toolset = ToolSet.default(
@@ -144,23 +170,31 @@ class TestFailureIsolation:
 
 
 class TestScheduling:
-    def test_resolved_chunk_size_default(self):
-        config = ParallelConfig(jobs=4)
-        # 160 apps / 4 workers = 40 per worker -> several chunks each,
-        # capped so pickling never dominates.
-        assert 1 <= config.resolved_chunk_size(160) <= 16
-        assert config.resolved_chunk_size(2) == 1
+    @pytest.mark.parametrize(
+        "timeout_s, expected", [(None, None), (5.0, 5.0 + HANG_GRACE_S)]
+    )
+    def test_batch_hang_backstop_is_armed_only_with_a_deadline(
+        self, saintdroid, small_corpus, monkeypatch, timeout_s, expected
+    ):
+        # run_tools(jobs>1, timeout_s=None): the parent never kills a
+        # slow app.
+        seen: set = set()
+        helper = PoolBackend._hang_deadline
 
-    def test_resolved_chunk_size_explicit(self):
-        config = ParallelConfig(jobs=4, chunk_size=7)
-        assert config.resolved_chunk_size(1000) == 7
-        assert ParallelConfig(chunk_size=0).resolved_chunk_size(10) == 1
+        def _recording(self):
+            seen.add(helper(self))
+            return helper(self)
 
-    def test_progress_callback_sees_every_app(self, spec, small_corpus):
+        monkeypatch.setattr(PoolBackend, "_hang_deadline", _recording)
+        run_tools(small_corpus[:2], saintdroid, jobs=2, timeout_s=timeout_s)
+        assert seen == {expected}
+
+    def test_progress_callback_sees_every_app(
+        self, saintdroid, small_corpus
+    ):
         seen: list[str] = []
-        config = ParallelConfig(jobs=2, include=("SAINTDroid",))
-        run_tools_parallel(
-            small_corpus[:3], spec, config, progress=seen.append
+        run_tools(
+            small_corpus[:3], saintdroid, jobs=2, progress=seen.append
         )
         assert sorted(seen) == sorted(
             f.apk.name for f in small_corpus[:3]

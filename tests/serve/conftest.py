@@ -2,9 +2,9 @@
 
 The session substrate (``framework``/``apidb`` from the root
 conftest) is passed straight into :meth:`AnalysisService` /
-:meth:`PoolSupervisor.start`, so the daemon tests never pay a second
-substrate build — forked workers inherit the session's objects as
-copy-on-write pages exactly like production fork pools do.
+:class:`~repro.eval.parallel.PoolBackend`, so the daemon tests never
+pay a second substrate build — forked workers inherit the session's
+objects as copy-on-write pages exactly like production fork pools do.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.runner import ToolSet, analyze_app
 from repro.serve import ServeClient, ServeClientError, start_server
 from repro.serve.jobs import JobState
@@ -181,6 +183,47 @@ class TestRecovery:
         # Fresh submissions never collide with recovered sequence ids.
         fresh = second.submit(serve_apk_doc("fresh"))
         assert fresh.seq > 99
+
+
+    def test_timed_out_drain_leaves_in_flight_jobs_for_replay(
+        self, make_service, tmp_path
+    ):
+        """A drain that times out closes the pool under the dispatcher
+        mid-round: the in-flight job must keep no result record, so
+        the next incarnation replays it instead of adopting a verdict
+        for work that never ran."""
+        from repro.serve.journal import ServeJournal
+
+        wal = str(tmp_path / "cut.jsonl")
+        wedge = FaultPlan(
+            faults={
+                0: InjectedFault(
+                    FaultKind.HANG, fail_attempts=None, hang_s=30.0
+                )
+            }
+        )
+        first = make_service(journal=wal, fault_plan=wedge)
+        job = first.submit(serve_apk_doc("wedged"))
+        assert job.seq == 0
+        deadline = time.monotonic() + 30.0
+        while job.state is not JobState.RUNNING:
+            assert time.monotonic() < deadline, "job never dispatched"
+            time.sleep(0.02)
+        assert first.drain(timeout_s=0.5) == "drained"
+        first._dispatcher.join(timeout=10.0)
+        assert not first._dispatcher.is_alive()
+        assert not job.terminal
+
+        recovery = ServeJournal(wal, tools=("SAINTDroid",)).load()
+        assert [r.job.id for r in recovery.pending()] == [job.id]
+        assert recovery.terminal() == []
+
+        second = make_service(journal=wal)
+        assert second.health()["recovery"]["pending"] == 1
+        replayed = second.wait(job.id, timeout_s=60.0)
+        assert replayed is not None and replayed.terminal
+        assert replayed.replayed
+        assert replayed.result.ok
 
 
 class TestStatsz:

@@ -1,16 +1,19 @@
-"""The supervised worker pool: dispatch, death, hangs, respawn."""
+"""The supervised worker pool: dispatch, death, hangs, respawn, close."""
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 
 import pytest
 
 from repro.core.errors import ErrorKind
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.runner import ToolSet, analyze_app
-from repro.serve.supervisor import PoolSupervisor
+from repro.eval.orchestration import BackendClosedError
+from repro.eval.parallel import PoolBackend
 
 from tests.conftest import activity_class, make_apk
 from repro.workload.appgen import ForgedApp
@@ -27,14 +30,15 @@ def _forged(tag: str) -> ForgedApp:
 
 @pytest.fixture()
 def supervisor(spec, framework, apidb):
-    sup = PoolSupervisor(
+    sup = PoolBackend(
         spec,
         workers=2,
         include=("SAINTDroid",),
         timeout_s=10.0,
         hang_timeout_s=20.0,
+        substrate=(framework, apidb),
     )
-    sup.start((framework, apidb))
+    sup.prepare()
     yield sup
     sup.close()
 
@@ -115,14 +119,15 @@ class TestHungWorker:
     def test_wedged_worker_is_killed_and_replaced(
         self, spec, framework, apidb
     ):
-        sup = PoolSupervisor(
+        sup = PoolBackend(
             spec,
             workers=1,
             include=("SAINTDroid",),
             timeout_s=None,  # no in-worker deadline: force the
             hang_timeout_s=0.5,  # parent-side backstop to fire
+            substrate=(framework, apidb),
         )
-        sup.start((framework, apidb))
+        sup.prepare()
         try:
             plan = FaultPlan(
                 faults={
@@ -141,16 +146,93 @@ class TestHungWorker:
         finally:
             sup.close()
 
+    def test_serve_default_backstop_is_unchanged(self, spec):
+        from repro.serve import ServeConfig
+
+        config = ServeConfig()
+        pool = PoolBackend(
+            spec,
+            timeout_s=config.timeout_s,
+            hang_timeout_s=config.hang_timeout_s,
+        )
+        assert pool._hang_deadline() == 20.0 + 30.0
+
+    def test_daemon_without_deadline_keeps_the_backstop(
+        self, make_service
+    ):
+        service = make_service(timeout_s=None)
+        assert (
+            service.pool._hang_deadline()
+            == service.config.hang_timeout_s
+        )
+
 
 class TestClose:
     def test_close_is_idempotent_and_clears_the_pool(
         self, spec, framework, apidb
     ):
-        sup = PoolSupervisor(spec, workers=2, include=("SAINTDroid",))
-        sup.start((framework, apidb))
+        sup = PoolBackend(
+            spec,
+            workers=2,
+            include=("SAINTDroid",),
+            substrate=(framework, apidb),
+        )
+        sup.prepare()
         pids = [p for p in sup.liveness()["pids"] if p]
         sup.close()
         sup.close()
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_round_on_a_closed_pool_raises(
+        self, spec, framework, apidb
+    ):
+        sup = PoolBackend(
+            spec,
+            workers=2,
+            include=("SAINTDroid",),
+            substrate=(framework, apidb),
+        )
+        sup.prepare()
+        sup.close()
+        started = time.monotonic()
+        with pytest.raises(BackendClosedError):
+            sup.run_round([(0, _forged("closed"), 0)], 0)
+        assert time.monotonic() - started < 1.0
+        assert sup.restarts == 0
+        assert sup.liveness()["pids"] == [None, None]
+
+    def test_close_mid_round_from_another_thread(
+        self, spec, framework, apidb
+    ):
+        """A timed-out daemon drain closes the pool while its
+        dispatcher is inside a round: the round must end, not spin on
+        an empty pool, and must settle nothing that never ran."""
+        sup = PoolBackend(
+            spec,
+            workers=2,
+            include=("SAINTDroid",),
+            substrate=(framework, apidb),
+            fault_plan=FaultPlan(
+                faults={
+                    0: InjectedFault(
+                        FaultKind.HANG, fail_attempts=None, hang_s=30.0
+                    )
+                }
+            ),
+        )
+        sup.prepare()
+        closer = threading.Timer(0.5, sup.close)
+        closer.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(BackendClosedError):
+                sup.run_round(
+                    [(0, _forged("wedge"), 0), (1, _forged("fine"), 0)],
+                    0,
+                )
+            assert time.monotonic() - started < 5.0
+        finally:
+            closer.join()
+            sup.close()
