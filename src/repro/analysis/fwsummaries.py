@@ -21,9 +21,9 @@ CID-style whole-framework pre-analysis, amortized over the corpus:
   the paper's pre-analysis framing calls for;
 * tables are built lazily per API level, memoized in-process (and
   shared with pool workers over fork, like the API database), and
-  persisted content-addressed on the framework spec digest under a
-  cache directory (``<cache>/summaries/``), checksummed like framework
-  snapshots: a corrupt file is a miss, never an error.
+  persisted in the ``summaries`` namespace of a cache directory's
+  :class:`~repro.cache.store.ContentStore`, keyed on the framework spec
+  digest, level and depth budget.
 
 The consumer is :class:`~repro.analysis.clvm.ClassLoaderVM` in
 summarized mode (``summaries=``): a framework method popped from the
@@ -33,12 +33,12 @@ plus a per-instruction scan.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..cache.fingerprint import fingerprint_spec
+from ..cache.store import ContentStore, pickled, unpickle
 from ..core.apidb import ApiDatabase
 from ..framework.generator import materialize_image
 from ..framework.repository import FrameworkRepository
@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 SUMMARY_SCHEMA_VERSION = 1
-
-_CHECKSUM_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -403,91 +401,42 @@ class FrameworkSummaryTable:
 
     # -- persistence --------------------------------------------------
 
-    def _path(self, level: int) -> Path | None:
+    def _disk(self):
+        """The persistent store, or ``None`` without a ``store_dir``."""
         if self._store_dir is None:
             return None
-        from ..cache.fingerprint import fingerprint_spec
+        return ContentStore(
+            self._store_dir,
+            "summaries",
+            SUMMARY_SCHEMA_VERSION,
+            suffix=".summ",
+        )
 
-        key = fingerprint_spec(self._framework.spec)
+    def _key(self, level: int) -> str:
         depth = (
             "all" if self._max_depth is None else str(self._max_depth)
         )
-        return (
-            self._store_dir
-            / "summaries"
-            / f"{key}-L{level}-d{depth}.summ"
-        )
+        spec_key = fingerprint_spec(self._framework.spec)
+        return f"{spec_key}-L{level}-d{depth}"
 
     def _store(self, level: int, table: dict) -> None:
-        path = self._path(level)
-        if path is None or path.exists():
+        store = self._disk()
+        if store is None:
             return
-        from ..cache.manifest import atomic_write_bytes
-
-        payload = pickle.dumps(
-            {
-                "version": SUMMARY_SCHEMA_VERSION,
-                "level": level,
-                "max_depth": self._max_depth,
-                "classes": table,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        blob = hashlib.sha256(payload).digest() + payload
-        atomic_write_bytes(path, blob)
-        # Size the entry into the directory's shared manifest so the
-        # summary store participates in the LRU byte budget alongside
-        # result and class-artifact entries.
-        from ..cache.manifest import shared_manifest
-
-        manifest = shared_manifest(self._store_dir)
-        manifest.record(
-            str(path.relative_to(self._store_dir)), len(blob)
-        )
-        manifest.prune()
-        manifest.save()
+        store.put(self._key(level), pickled(table))
+        store.prune()
+        store.save()
 
     def _load(self, level: int) -> dict[ClassName, ClassSummary] | None:
-        """Load one level from the store; ``None`` on any defect
-        (missing, truncated, checksum/version mismatch) — a miss,
-        never an error."""
-        path = self._path(level)
-        if path is None:
+        """Load one level from the store; ``None`` on a miss (a corrupt
+        entry is dropped, so the rebuilt level replaces it)."""
+        store = self._disk()
+        if store is None:
             return None
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        if len(blob) <= _CHECKSUM_BYTES:
-            return None
-        digest, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        try:
-            doc = pickle.loads(payload)
-        except Exception:  # pragma: no cover — checksum gates this
-            return None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("version") != SUMMARY_SCHEMA_VERSION
-            or doc.get("level") != level
-            or doc.get("max_depth") != self._max_depth
-            or not isinstance(doc.get("classes"), dict)
-        ):
-            return None
-        self.stats.levels_loaded += 1
-        from ..cache.manifest import shared_manifest
-
-        manifest = shared_manifest(self._store_dir)
-        relative = str(path.relative_to(self._store_dir))
-        if relative in manifest.entries:
-            manifest.touch(relative)
-        else:
-            # A table written before manifest sizing existed (or by a
-            # concurrent worker whose manifest save lost the race):
-            # adopt it so eviction accounting stays complete.
-            manifest.record(relative, len(blob))
-        return doc["classes"]
+        table = store.get(self._key(level), unpickle(dict))
+        if table is not None:
+            self.stats.levels_loaded += 1
+        return table
 
 
 # -- in-process registry (fork-shared, like the API database) --------------

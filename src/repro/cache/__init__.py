@@ -2,7 +2,8 @@
 
 Corpus-scale vetting re-analyzes the same corpora as tools and API
 databases evolve; this package makes the *unchanged* part of every
-re-run cost near zero.  Three tiers:
+re-run cost near zero.  Each tier is a namespace of one
+:class:`~repro.cache.store.ContentStore`:
 
 * **framework snapshots** (:mod:`.snapshot`) — the materialized
   repository + mined API database serialized once per framework
@@ -12,8 +13,10 @@ re-run cost near zero.  Three tiers:
   :class:`~repro.eval.runner.AppResult` records keyed by (APK content,
   framework, detector configuration) fingerprints; warm runs are
   fingerprint-identical to cold ones while skipping the analysis;
-* **bookkeeping** (:mod:`.manifest`) — versioned schema, atomic
-  writes, corruption-as-miss, size-bounded LRU eviction.
+* **per-class artifacts** (:mod:`.classes`) and framework summary
+  tables (:mod:`repro.analysis.fwsummaries`);
+* **bookkeeping** (:mod:`.store`, :mod:`.manifest`) — checksummed
+  entries, corruption-as-miss, one size-bounded LRU budget.
 
 Everything is keyed through :mod:`.fingerprint`; nothing in here
 affects *what* a run computes, only whether it recomputes it.
@@ -42,7 +45,7 @@ from .manifest import (
     atomic_write_text,
     shared_manifest,
 )
-from .results import ResultCache, ResultCacheStats
+from .results import ResultCache
 from .shared import SharedSubstrate, SharedSubstrateHandle
 from .snapshot import (
     ensure_snapshot,
@@ -61,7 +64,6 @@ __all__ = [
     "ClassStore",
     "ClassStoreStats",
     "ResultCache",
-    "ResultCacheStats",
     "SharedSubstrate",
     "SharedSubstrateHandle",
     "atomic_write_bytes",

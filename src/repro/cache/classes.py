@@ -35,17 +35,14 @@ them.  A crash, timeout, or injected fault aborts the pipeline before
 the commit pass runs, so a faulted app can never populate the store
 (the same rule the result cache enforces with ``result.ok``).
 
-Disk entries are checksummed pickles (corruption is a miss, never an
-error) recorded in the directory's *shared* manifest, so per-class
-artifacts, per-app results, and framework summary tables together
-respect one LRU byte budget.
+Disk entries are pickled artifacts in the ``classes`` namespace of the
+:class:`~repro.cache.store.ContentStore`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -55,7 +52,7 @@ from .fingerprint import (
     class_key,
     fingerprint_clazz,
 )
-from .manifest import atomic_write_bytes, shared_manifest
+from .store import ContentStore, StoreStats, pickled, unpickle
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from ..ir.clazz import Clazz
@@ -70,13 +67,11 @@ __all__ = [
 ]
 
 #: Version of the artifact payload semantics (effect encoding, helper
-#: map, guard-row keying).  Part of the checksum preamble: bumping it
+#: map, guard-row keying).  Stamped into every entry: bumping it
 #: orphans old entries without migration code.  v2: semantic-delta
 #: (SEM) facts joined the analysis substrate — pre-SEM artifacts must
 #: degrade to misses, never resurface as findings.
 CLASS_ARTIFACT_VERSION = 2
-
-_CHECKSUM_BYTES = 32  # sha256 digest length
 
 
 @dataclass(eq=False)  # identity semantics: artifacts are cache
@@ -107,22 +102,13 @@ class ClassArtifact:
 
 
 @dataclass
-class ClassStoreStats:
-    """One process's traffic against the class-artifact store."""
+class ClassStoreStats(StoreStats):
+    """One process's traffic against the class-artifact store; hits
+    count in-memory and disk hits alike."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    evicted: int = 0
     discarded: int = 0
     guard_hits: int = 0
     guard_misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     @property
     def guard_hit_rate(self) -> float:
@@ -131,15 +117,10 @@ class ClassStoreStats:
 
     def as_dict(self) -> dict:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "evicted": self.evicted,
+            **super().as_dict(),
             "discarded": self.discarded,
             "guard_hits": self.guard_hits,
             "guard_misses": self.guard_misses,
-            "hit_rate": self.hit_rate,
             "guard_hit_rate": self.guard_hit_rate,
         }
 
@@ -174,23 +155,18 @@ class ClassStore:
         *,
         framework_fingerprint: str,
         config_fingerprint: str,
-        max_bytes: int | None = None,
     ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.framework_fingerprint = framework_fingerprint
         self.config_fingerprint = config_fingerprint
         self.stats = ClassStoreStats()
         self._memory: dict[str, ClassArtifact] = {}
-        self._dirty: set[str] = set()
         self._staged: dict[str, ClassArtifact] = {}
         self._staged_guards: dict[str, dict] = {}
-        self._manifest = (
-            shared_manifest(self.cache_dir, max_bytes=max_bytes)
-            if self.cache_dir is not None
+        self.disk = (
+            class_disk(cache_dir, self.stats)
+            if cache_dir is not None
             else None
         )
-
-    # -- keys and paths ------------------------------------------------
 
     def key_for(self, clazz: "Clazz") -> str:
         return class_key(
@@ -198,12 +174,6 @@ class ClassStore:
             self.framework_fingerprint,
             self.config_fingerprint,
         )
-
-    def _entry_path(self, key: str) -> Path:
-        return self.cache_dir / "classes" / key[:2] / f"{key}.cls"
-
-    def _relative(self, path: Path) -> str:
-        return str(path.relative_to(self.cache_dir))
 
     # -- lookup --------------------------------------------------------
 
@@ -216,41 +186,12 @@ class ClassStore:
         if artifact is not None:
             self.stats.hits += 1
             return artifact
-        artifact = self._load(key)
-        if artifact is None:
+        if self.disk is None:
             self.stats.misses += 1
             return None
-        self.stats.hits += 1
-        self._memory[key] = artifact
-        return artifact
-
-    def _load(self, key: str) -> "ClassArtifact | None":
-        if self.cache_dir is None:
-            return None
-        path = self._entry_path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            if len(blob) <= _CHECKSUM_BYTES:
-                raise ValueError("truncated entry")
-            checksum, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
-            if hashlib.sha256(payload).digest() != checksum:
-                raise ValueError("checksum mismatch")
-            version, artifact = pickle.loads(payload)
-            if version != CLASS_ARTIFACT_VERSION:
-                raise ValueError("artifact version mismatch")
-            if not isinstance(artifact, ClassArtifact):
-                raise ValueError("unexpected payload type")
-        except Exception:
-            self.stats.corrupt += 1
-            path.unlink(missing_ok=True)
-            if self._manifest is not None:
-                self._manifest.forget(self._relative(path))
-            return None
-        if self._manifest is not None:
-            self._manifest.touch(self._relative(path))
+        artifact = self.disk.get(key, unpickle(ClassArtifact))
+        if artifact is not None:
+            self._memory[key] = artifact
         return artifact
 
     # -- staging (one app's pipeline) ----------------------------------
@@ -274,83 +215,43 @@ class ClassStore:
         """Publish this app's staged artifacts and guard rows.  Runs
         only as the final pipeline pass — any earlier failure leaves
         the store untouched."""
-        wrote = False
-        for key, artifact in self._staged.items():
-            self._memory[key] = artifact
-            self._dirty.add(key)
+        dirty = set(self._staged)
+        self._memory.update(self._staged)
         for key, row_map in self._staged_guards.items():
             artifact = self._memory.get(key)
             if artifact is None:
                 continue  # artifact itself was evicted or never staged
             artifact.guard_rows.update(row_map)
-            self._dirty.add(key)
+            dirty.add(key)
         self._staged.clear()
         self._staged_guards.clear()
-        if self.cache_dir is not None:
-            for key in sorted(self._dirty):
-                artifact = self._memory.get(key)
-                if artifact is not None:
-                    self._write(key, artifact)
-                    wrote = True
-        self._dirty.clear()
-        if wrote and self._manifest is not None:
-            self.stats.evicted += len(self._manifest.prune())
-            self._manifest.save()
-
-    def _write(self, key: str, artifact: ClassArtifact) -> None:
-        payload = pickle.dumps(
-            (CLASS_ARTIFACT_VERSION, artifact),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        blob = hashlib.sha256(payload).digest() + payload
-        path = self._entry_path(key)
-        fresh = not path.exists()
-        atomic_write_bytes(path, blob)
-        if fresh:
-            self.stats.stores += 1
-        if self._manifest is not None:
-            self._manifest.record(self._relative(path), len(blob))
+        if self.disk is None or not dirty:
+            return
+        for key in sorted(dirty):
+            self.disk.put(key, pickled(self._memory[key]))
+        self.disk.prune()
+        self.disk.save()
 
     # -- maintenance ---------------------------------------------------
-
-    def adopt_untracked(self) -> int:
-        """Re-enter on-disk entries missing from the manifest.
-
-        Concurrent workers over one cache directory write entries
-        atomically but save the manifest last-writer-wins; files the
-        surviving manifest never saw would escape the byte budget.
-        Returns how many entries were adopted.
-        """
-        if self.cache_dir is None or self._manifest is None:
-            return 0
-        root = self.cache_dir / "classes"
-        adopted = 0
-        if not root.is_dir():
-            return 0
-        for dirpath, _dirnames, filenames in os.walk(root):
-            for name in filenames:
-                if not name.endswith(".cls"):
-                    continue
-                path = Path(dirpath) / name
-                relative = self._relative(path)
-                if relative in self._manifest.entries:
-                    continue
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue
-                self._manifest.record(relative, size)
-                adopted += 1
-        return adopted
 
     def flush(self) -> None:
         """Adopt stray entries, enforce the byte budget, persist the
         manifest.  Called at end of run / daemon drain."""
-        if self._manifest is None:
-            return
-        self.adopt_untracked()
-        self.stats.evicted += len(self._manifest.prune())
-        self._manifest.save()
+        if self.disk is not None:
+            self.disk.flush()
+
+
+def class_disk(
+    cache_dir: str | Path, stats: StoreStats | None = None
+) -> ContentStore:
+    """The ``classes`` namespace of ``cache_dir``'s content store."""
+    return ContentStore(
+        cache_dir,
+        "classes",
+        CLASS_ARTIFACT_VERSION,
+        suffix=".cls",
+        stats=stats,
+    )
 
 
 # One store per (directory, framework, config) per process: the lazy
@@ -365,7 +266,6 @@ def class_store(
     *,
     framework_fingerprint: str,
     config_fingerprint: str,
-    max_bytes: int | None = None,
 ) -> ClassStore:
     key = (
         os.path.abspath(os.fspath(cache_dir))
@@ -380,7 +280,6 @@ def class_store(
             cache_dir,
             framework_fingerprint=framework_fingerprint,
             config_fingerprint=config_fingerprint,
-            max_bytes=max_bytes,
         )
         _STORES[key] = store
     return store

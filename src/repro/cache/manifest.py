@@ -35,8 +35,8 @@ __all__ = [
     "shared_manifest",
 ]
 
-#: Default byte budget for the result-entry store (framework
-#: snapshots are few and excluded from eviction).
+#: Default byte budget shared by every store under one cache
+#: directory.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 
@@ -106,11 +106,6 @@ class CacheManifest:
             "size": int(size), "touched": time.time()
         }
 
-    def touch(self, relative: str) -> None:
-        entry = self.entries.get(relative)
-        if entry is not None:
-            entry["touched"] = time.time()
-
     def forget(self, relative: str) -> None:
         self.entries.pop(relative, None)
 
@@ -154,18 +149,20 @@ class CacheManifest:
 
 
 # One cache directory holds several artifact stores (per-app results,
-# per-class artifacts, framework summary tables) that must share one
-# byte budget: two CacheManifest instances over the same directory
-# would clobber each other's rows on save, and an unshared store's
-# bytes would escape the LRU bound entirely.  The registry hands every
-# store over one directory the same manifest object.
+# per-class artifacts, framework summary tables and snapshots) that
+# must share one byte budget: two CacheManifest instances over the
+# same directory would clobber each other's rows on save, and an
+# unshared store's bytes would escape the LRU bound entirely.  The
+# registry hands every store over one directory the same manifest
+# object.
 _SHARED_MANIFESTS: dict[str, CacheManifest] = {}
 
 
 def shared_manifest(
     cache_dir: str | Path, *, max_bytes: int | None = None
 ) -> CacheManifest:
-    """The process-wide :class:`CacheManifest` for ``cache_dir``.
+    """The process-wide :class:`CacheManifest` for ``cache_dir`` —
+    the one place a directory's byte budget is set.
 
     ``max_bytes`` tightens (or relaxes) the budget of an existing
     instance when given explicitly; ``None`` keeps whatever the first

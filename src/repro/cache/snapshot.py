@@ -13,13 +13,10 @@ them exactly once and serves every later consumer from disk:
   records every framework class that run touched, and loading
   re-materializes them from the spec (cheaper than unpickling the
   full class graphs), so the next run's CLVM starts warm;
-* files are content-addressed by the caller's ``key`` (normally
-  :func:`~repro.cache.fingerprint.fingerprint_spec`), embedded in the
-  payload and re-checked on load, so a stale file for a different
-  framework can never be served;
-* a leading SHA-256 checksum guards the pickle: a truncated or
-  bit-flipped snapshot fails the checksum and is treated as a miss
-  (rebuilt and atomically rewritten), never unpickled, never an error.
+* snapshots live in the ``framework`` namespace of the
+  :class:`~repro.cache.store.ContentStore`, keyed by the caller's
+  ``key`` (normally :func:`~repro.cache.fingerprint.fingerprint_spec`),
+  which the payload also embeds and loading re-checks.
 
 Loading also registers the database in :mod:`repro.core.arm`'s
 build cache, so a later ``build_api_database(repository)`` over the
@@ -28,7 +25,6 @@ loaded spec is a dictionary hit rather than a re-mine.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from pathlib import Path
 
@@ -38,7 +34,7 @@ from ..framework.generator import materialize_class
 from ..framework.repository import FrameworkRepository
 from ..framework.spec import FrameworkSpec
 from .fingerprint import CACHE_SCHEMA_VERSION, fingerprint_spec
-from .manifest import atomic_write_bytes
+from .store import ContentStore, pickled, unframe
 
 __all__ = [
     "snapshot_path",
@@ -50,11 +46,15 @@ __all__ = [
     "load_or_build_substrate",
 ]
 
-_CHECKSUM_BYTES = 32
+
+def _store(cache_dir: str | Path) -> ContentStore:
+    return ContentStore(
+        cache_dir, "framework", CACHE_SCHEMA_VERSION, suffix=".snapshot"
+    )
 
 
 def snapshot_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / "framework" / f"{key}.snapshot"
+    return _store(cache_dir).path(key)
 
 
 def substrate_payload(
@@ -101,6 +101,15 @@ def restore_substrate(
     return framework, apidb
 
 
+def _decode(
+    payload: bytes, key: str | None
+) -> tuple[FrameworkRepository, ApiDatabase]:
+    loaded = restore_substrate(pickle.loads(payload), key=key)
+    if loaded is None:
+        raise ValueError("not a substrate snapshot for this key")
+    return loaded
+
+
 def write_snapshot(
     cache_dir: str | Path,
     key: str,
@@ -108,15 +117,9 @@ def write_snapshot(
     apidb: ApiDatabase,
 ) -> Path:
     """Serialize the substrate under ``key``; returns the file path."""
-    payload = pickle.dumps(
-        substrate_payload(framework, apidb, key),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    path = snapshot_path(cache_dir, key)
-    atomic_write_bytes(
-        path, hashlib.sha256(payload).digest() + payload
-    )
-    return path
+    store = _store(cache_dir)
+    store.put(key, pickled(substrate_payload(framework, apidb, key)))
+    return store.path(key)
 
 
 def ensure_snapshot(
@@ -126,36 +129,32 @@ def ensure_snapshot(
     *,
     key: str | None = None,
 ) -> Path:
-    """Write the snapshot for ``framework`` unless one already exists;
-    returns its path either way."""
+    """Write the snapshot for ``framework`` unless an intact one
+    (checksum and stamp verified, not unpickled) exists; returns its
+    path either way.  Also adopts snapshots other processes wrote:
+    nothing else flushes this namespace."""
     key = key or fingerprint_spec(framework.spec)
-    path = snapshot_path(cache_dir, key)
-    if not path.exists():
+    store = _store(cache_dir)
+    store.adopt_untracked()
+    if store.get(key) is None:
         return write_snapshot(cache_dir, key, framework, apidb)
-    return path
+    return store.path(key)
 
 
 def load_snapshot(
     path: str | Path, *, key: str | None = None
 ) -> tuple[FrameworkRepository, ApiDatabase] | None:
-    """Load a snapshot; ``None`` on any defect (missing, truncated,
-    checksum mismatch, version/key mismatch) — a miss, never an error.
-    """
-    path = Path(path)
+    """Load the snapshot file at ``path``; ``None`` on any defect
+    (missing, truncated, checksum mismatch, version/key mismatch) — a
+    miss, never an error.  Without ``key`` the embedded key is
+    trusted."""
     try:
-        blob = path.read_bytes()
-    except OSError:
+        return _decode(
+            unframe(Path(path).read_bytes(), CACHE_SCHEMA_VERSION, key),
+            key,
+        )
+    except Exception:
         return None
-    if len(blob) <= _CHECKSUM_BYTES:
-        return None
-    digest, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
-    if hashlib.sha256(payload).digest() != digest:
-        return None
-    try:
-        doc = pickle.loads(payload)
-    except Exception:  # pragma: no cover — checksum already gates this
-        return None
-    return restore_substrate(doc, key=key)
 
 
 def load_or_build_substrate(
@@ -182,7 +181,9 @@ def load_or_build_substrate(
         framework = FrameworkRepository(spec)
         return framework, build_api_database(framework), "built"
     key = key or fingerprint_spec(spec)
-    loaded = load_snapshot(snapshot_path(cache_dir, key), key=key)
+    loaded = _store(cache_dir).get(
+        key, lambda payload: _decode(payload, key)
+    )
     if loaded is not None:
         return loaded[0], loaded[1], "snapshot"
     framework = FrameworkRepository(spec)

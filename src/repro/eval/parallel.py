@@ -311,33 +311,16 @@ def _merge_cache_stats(snapshots: dict[int, dict]) -> dict:
         db["resolve_misses"] + db["levels_misses"] + db["permission_misses"]
     )
     db["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-    # Class-artifact store traffic (only present in --dedup workers;
-    # older snapshots without the section merge cleanly).
-    classes: dict[str, float] = {}
-    seen_classes = False
-    for snapshot in snapshots.values():
-        section = snapshot.get("classes")
-        if not section:
-            continue
-        seen_classes = True
-        for key, value in section.items():
-            if key.endswith("_rate"):
-                continue
-            classes[key] = classes.get(key, 0) + value
-    if seen_classes:
-        hits = classes.get("hits", 0)
-        misses = classes.get("misses", 0)
-        classes["hit_rate"] = (
-            hits / (hits + misses) if hits + misses else 0.0
-        )
-        guard_hits = classes.get("guard_hits", 0)
-        guard_misses = classes.get("guard_misses", 0)
-        classes["guard_hit_rate"] = (
-            guard_hits / (guard_hits + guard_misses)
-            if guard_hits + guard_misses
-            else 0.0
-        )
-        merged["classes"] = classes
+    # Class-artifact store traffic (only present in --dedup workers).
+    sections = [
+        snapshot["classes"]
+        for snapshot in snapshots.values()
+        if snapshot.get("classes")
+    ]
+    if sections:
+        from ..cache.classes import ClassStoreStats
+
+        merged["classes"] = ClassStoreStats.summed(sections)
     return merged
 
 
@@ -547,17 +530,9 @@ class PoolBackend(CorpusBackend):
             # shared manifest last-writer-wins; the parent adopts
             # anything the surviving manifest missed and enforces the
             # byte budget.
-            from ..cache import fingerprint_config, fingerprint_spec
-            from ..cache.classes import CLASS_ARTIFACT_VERSION, class_store
+            from ..cache.classes import class_disk
 
-            store = class_store(
-                self.cache_dir,
-                framework_fingerprint=fingerprint_spec(self._spec),
-                config_fingerprint=fingerprint_config(
-                    ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
-                ),
-            )
-            store.flush()
+            class_disk(self.cache_dir).flush()
         return merged
 
     def close(self) -> None:

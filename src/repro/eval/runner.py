@@ -174,7 +174,7 @@ class ToolSet:
 
     def cache_stats(self) -> dict:
         """Framework + database cache accounting for this tool set."""
-        from ..cache.classes import registered_stores
+        from ..cache.classes import ClassStoreStats, registered_stores
 
         stats = {
             "framework": self.framework.cache_stats.as_dict(),
@@ -182,22 +182,9 @@ class ToolSet:
         }
         stores = registered_stores()
         if stores:
-            classes: dict[str, int | float] = {}
-            for store in stores:
-                for key, value in store.stats.as_dict().items():
-                    if not key.endswith("_rate"):
-                        classes[key] = classes.get(key, 0) + value
-            hits = classes.get("hits", 0)
-            misses = classes.get("misses", 0)
-            classes["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-            guard_hits = classes.get("guard_hits", 0)
-            guard_misses = classes.get("guard_misses", 0)
-            classes["guard_hit_rate"] = (
-                guard_hits / (guard_hits + guard_misses)
-                if guard_hits + guard_misses
-                else 0.0
+            stats["classes"] = ClassStoreStats.summed(
+                store.stats.as_dict() for store in stores
             )
-            stats["classes"] = classes
         return stats
 
 

@@ -121,7 +121,7 @@ class TestPersistence:
         )
         built = writer.level_summaries(LEVEL)
         assert writer.stats.levels_built == 1
-        stored = list((tmp_path / "summaries").glob("*.summ"))
+        stored = list((tmp_path / "summaries").rglob("*.summ"))
         assert len(stored) == 1
 
         reader = FrameworkSummaryTable(
@@ -142,7 +142,7 @@ class TestPersistence:
             framework, apidb, store_dir=tmp_path
         )
         writer.level_summaries(LEVEL)
-        stored = next((tmp_path / "summaries").glob("*.summ"))
+        stored = next((tmp_path / "summaries").rglob("*.summ"))
         blob = bytearray(stored.read_bytes())
         blob[40] ^= 0xFF
         stored.write_bytes(bytes(blob))
@@ -155,12 +155,38 @@ class TestPersistence:
         assert reader.stats.levels_built == 1
         assert table
 
+    def test_corrupt_store_heals_after_one_rebuild(
+        self, framework, apidb, tmp_path
+    ):
+        FrameworkSummaryTable(
+            framework, apidb, store_dir=tmp_path
+        ).level_summaries(LEVEL)
+        stored = next((tmp_path / "summaries").rglob("*.summ"))
+        blob = bytearray(stored.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        stored.write_bytes(bytes(blob))
+
+        rebuilder = FrameworkSummaryTable(
+            framework, apidb, store_dir=tmp_path
+        )
+        rebuilder.level_summaries(LEVEL)
+        assert rebuilder.stats.levels_built == 1
+
+        # The rebuild replaced the corrupt entry on disk: the next
+        # process loads instead of rebuilding the level forever.
+        reader = FrameworkSummaryTable(
+            framework, apidb, store_dir=tmp_path
+        )
+        reader.level_summaries(LEVEL)
+        assert reader.stats.levels_loaded == 1
+        assert reader.stats.levels_built == 0
+
     def test_truncated_store_is_a_miss(self, framework, apidb, tmp_path):
         writer = FrameworkSummaryTable(
             framework, apidb, store_dir=tmp_path
         )
         writer.level_summaries(LEVEL)
-        stored = next((tmp_path / "summaries").glob("*.summ"))
+        stored = next((tmp_path / "summaries").rglob("*.summ"))
         stored.write_bytes(stored.read_bytes()[:16])
         reader = FrameworkSummaryTable(
             framework, apidb, store_dir=tmp_path

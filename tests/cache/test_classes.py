@@ -20,6 +20,7 @@ from repro.cache.classes import (
     reset_class_stores,
 )
 from repro.cache.manifest import shared_manifest
+from repro.cache.store import frame
 from repro.ir import ClassBuilder
 
 
@@ -136,7 +137,7 @@ class TestRoundTrip:
 
 class TestCorruption:
     def _entry_path(self, store, clazz):
-        return store._entry_path(store.key_for(clazz))
+        return store.disk.path(store.key_for(clazz))
 
     def test_flipped_bytes_are_a_miss_and_dropped(self, tmp_path):
         clazz = make_class()
@@ -162,16 +163,12 @@ class TestCorruption:
         assert fresh.stats.corrupt == 1
 
     def test_artifact_version_bump_orphans_old_entries(self, tmp_path):
-        import hashlib
-
         clazz = make_class()
         store = make_store(tmp_path)
         key = publish(store, clazz)
-        path = store._entry_path(key)
-        payload = pickle.dumps(
-            (CLASS_ARTIFACT_VERSION + 1, artifact_for(clazz))
-        )
-        path.write_bytes(hashlib.sha256(payload).digest() + payload)
+        path = store.disk.path(key)
+        payload = pickle.dumps(artifact_for(clazz))
+        path.write_bytes(frame(CLASS_ARTIFACT_VERSION + 1, key, payload))
 
         fresh = make_store(tmp_path)
         assert fresh.get(clazz) is None
@@ -207,7 +204,8 @@ class TestStagingDiscipline:
 
 class TestEviction:
     def test_lru_bound_holds_for_class_artifacts(self, tmp_path):
-        store = make_store(tmp_path, max_bytes=2_000)
+        shared_manifest(tmp_path, max_bytes=2_000)
+        store = make_store(tmp_path)
         for index in range(20):
             publish(store, make_class(name=f"Bulk{index}"))
         assert store.stats.evicted > 0
@@ -224,9 +222,9 @@ class TestEviction:
         key = publish(store, clazz)
         # Simulate a concurrent worker whose manifest save lost the
         # race: the entry file exists but the manifest forgot it.
-        store._manifest.forget(store._relative(store._entry_path(key)))
-        assert store.adopt_untracked() == 1
-        assert store.adopt_untracked() == 0  # idempotent
+        store.disk.manifest.forget(store.disk.relative(key))
+        assert store.disk.adopt_untracked() == 1
+        assert store.disk.adopt_untracked() == 0  # idempotent
 
 
 class TestRegistry:

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.cache import CacheManifest, ResultCache, fingerprint_apk
-from repro.cache.manifest import atomic_write_text
+from repro.cache import (
+    CACHE_SCHEMA_VERSION,
+    CacheManifest,
+    ResultCache,
+    fingerprint_apk,
+)
+from repro.cache.manifest import atomic_write_text, shared_manifest
+from repro.cache.store import frame, unframe
 from repro.core.errors import AnalysisError, ErrorKind
 from repro.eval import ToolSet, analyze_app
 from repro.workload.corpus import CorpusConfig, generate_corpus
@@ -103,7 +110,7 @@ class TestCorruption:
         cache = _cache(tmp_path)
         fp = fingerprint_apk(forged.apk)
         cache.put(fp, result)
-        path = cache._entry_path(fp)
+        (path,) = (tmp_path / "results").rglob("*.json")
         assert path.exists()
         return cache, fp, path
 
@@ -113,6 +120,24 @@ class TestCorruption:
         assert cache.get(fp) is None
         assert cache.stats.corrupt == 1
         assert not path.exists()  # dropped, will be re-stored
+
+    def test_edited_field_fails_the_checksum(
+        self, tmp_path, forged, result
+    ):
+        # An edit that still parses (a bumped work-unit count) must not
+        # be served: it would change the corpus fingerprint silently.
+        cache, fp, path = self._stored(tmp_path, forged, result)
+        text, edits = re.subn(
+            r'"workUnits": (\d+)',
+            lambda match: f'"workUnits": {int(match.group(1)) + 1}',
+            path.read_text(),
+            count=1,
+        )
+        assert edits == 1
+        path.write_text(text)
+        assert cache.get(fp) is None
+        assert cache.stats.corrupt == 1
+        assert cache.stats.hits == 0
 
     def test_binary_garbage_is_a_miss(self, tmp_path, forged, result):
         cache, fp, path = self._stored(tmp_path, forged, result)
@@ -124,9 +149,8 @@ class TestCorruption:
         self, tmp_path, forged, result
     ):
         cache, fp, path = self._stored(tmp_path, forged, result)
-        doc = json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(json.dumps(doc))
+        payload = unframe(path.read_bytes(), CACHE_SCHEMA_VERSION)
+        path.write_bytes(frame(999, path.stem, payload))
         assert cache.get(fp) is None
         assert cache.stats.corrupt == 1
 
@@ -134,7 +158,8 @@ class TestCorruption:
         self, tmp_path, forged, result
     ):
         cache, fp, path = self._stored(tmp_path, forged, result)
-        path.write_text(json.dumps({"version": 1, "result": {"bogus": 1}}))
+        payload = json.dumps({"bogus": 1}).encode()
+        path.write_bytes(frame(CACHE_SCHEMA_VERSION, path.stem, payload))
         assert cache.get(fp) is None
         assert cache.stats.corrupt == 1
 
@@ -177,7 +202,8 @@ class TestManifest:
     def test_eviction_through_result_cache(
         self, tmp_path, forged, result
     ):
-        cache = _cache(tmp_path, max_bytes=1)  # everything over budget
+        shared_manifest(tmp_path, max_bytes=1)  # everything over budget
+        cache = _cache(tmp_path)
         fp = fingerprint_apk(forged.apk)
         cache.put(fp, result)
         assert cache.stats.evicted == 1

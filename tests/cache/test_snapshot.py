@@ -59,6 +59,19 @@ class TestRoundTrip:
         assert second.stat().st_mtime_ns == stamp
 
 
+    def test_ensure_snapshot_rewrites_a_corrupt_snapshot(self, tmp_path):
+        spec, framework, apidb = _small_substrate()
+        key = fingerprint_spec(spec)
+        path = ensure_snapshot(tmp_path, framework, apidb)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        assert load_snapshot(path, key=key) is None
+
+        assert ensure_snapshot(tmp_path, framework, apidb) == path
+        assert load_snapshot(path, key=key) is not None
+
+
 class TestDefectsAreMisses:
     def test_missing_file(self, tmp_path):
         assert load_snapshot(tmp_path / "nope.snapshot") is None
