@@ -26,10 +26,10 @@ import pytest
 
 from repro.cache import (
     fingerprint_spec,
-    load_snapshot,
     snapshot_path,
     write_snapshot,
 )
+from repro.cache.snapshot import _load_snapshot
 from repro.core.arm import mine_spec
 from repro.eval.runner import ToolSet, run_tools
 from repro.framework import FrameworkRepository
@@ -95,7 +95,7 @@ def incremental(tmp_path_factory) -> dict:
         cold_store, key, FrameworkRepository(spec), apidb
     )
     start = time.perf_counter()
-    loaded = load_snapshot(cold_path, key=key)
+    loaded = _load_snapshot(cold_path, key=key)
     snapshot_load_s = time.perf_counter() - start
     assert loaded is not None
 
@@ -105,7 +105,7 @@ def incremental(tmp_path_factory) -> dict:
     warm_path = snapshot_path(cache_dir, key)
     assert warm_path.exists()
     start = time.perf_counter()
-    warm_loaded = load_snapshot(warm_path, key=key)
+    warm_loaded = _load_snapshot(warm_path, key=key)
     warm_snapshot_load_s = time.perf_counter() - start
     assert warm_loaded is not None
     assert warm_loaded[0].export_class_cache()

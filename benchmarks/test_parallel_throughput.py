@@ -10,9 +10,9 @@ Three ways to analyze the same corpus:
   memo tables;
 * **parallel** — the process-pool engine (``jobs=4``): the parent
   prepares the substrate once (framework levels pre-warmed, database
-  mined) and every worker attaches to it — fork page sharing or the
-  shared-memory segment — so workers start warm instead of each
-  rebuilding its own cache.
+  mined) and every worker inherits it over fork as copy-on-write
+  pages, so workers start warm instead of each rebuilding its own
+  cache.
 
 All three must produce fingerprint-identical results; the wall-clock
 and cache-hit numbers land in ``results/BENCH_parallel.json``.

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..cache.fingerprint import fingerprint_spec
-from ..cache.store import ContentStore, pickled, unpickle
+from ..cache.store import ContentStore, pickled, tracked_stats, unpickle
 from ..core.apidb import ApiDatabase
 from ..framework.generator import materialize_image
 from ..framework.repository import FrameworkRepository
@@ -410,6 +410,7 @@ class FrameworkSummaryTable:
             "summaries",
             SUMMARY_SCHEMA_VERSION,
             suffix=".summ",
+            stats=tracked_stats("summaries"),
         )
 
     def _key(self, level: int) -> str:

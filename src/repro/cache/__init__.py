@@ -7,8 +7,9 @@ re-run cost near zero.  Each tier is a namespace of one
 
 * **framework snapshots** (:mod:`.snapshot`) — the materialized
   repository + mined API database serialized once per framework
-  fingerprint, loaded by corpus runs and pool-worker initializers
-  instead of regenerated;
+  fingerprint, loaded by the next cold process instead of
+  regenerated (pool workers inherit the parent's substrate over
+  fork and never read it);
 * **per-app results** (:mod:`.results`) — finalized
   :class:`~repro.eval.runner.AppResult` records keyed by (APK content,
   framework, detector configuration) fingerprints; warm runs are
@@ -46,14 +47,10 @@ from .manifest import (
     shared_manifest,
 )
 from .results import ResultCache
-from .shared import SharedSubstrate, SharedSubstrateHandle
 from .snapshot import (
     ensure_snapshot,
     load_or_build_substrate,
-    load_snapshot,
-    restore_substrate,
     snapshot_path,
-    substrate_payload,
     write_snapshot,
 )
 
@@ -64,8 +61,6 @@ __all__ = [
     "ClassStore",
     "ClassStoreStats",
     "ResultCache",
-    "SharedSubstrate",
-    "SharedSubstrateHandle",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_json",
@@ -78,11 +73,8 @@ __all__ = [
     "fingerprint_config",
     "fingerprint_spec",
     "load_or_build_substrate",
-    "load_snapshot",
-    "restore_substrate",
     "result_key",
     "shared_manifest",
     "snapshot_path",
-    "substrate_payload",
     "write_snapshot",
 ]

@@ -1,8 +1,7 @@
 """Framework snapshots: the substrate serialized once, loaded forever.
 
-Every corpus run (and every pool worker, respawned ones included)
-needs the same two artifacts before it can analyze its
-first app: the :class:`~repro.framework.repository.FrameworkRepository`
+Every corpus run needs the same two artifacts before it can analyze
+its first app: the :class:`~repro.framework.repository.FrameworkRepository`
 and the :class:`~repro.core.apidb.ApiDatabase` mined from it.  Both
 are pure functions of the framework spec, so a snapshot materializes
 them exactly once and serves every later consumer from disk:
@@ -16,7 +15,8 @@ them exactly once and serves every later consumer from disk:
 * snapshots live in the ``framework`` namespace of the
   :class:`~repro.cache.store.ContentStore`, keyed by the caller's
   ``key`` (normally :func:`~repro.cache.fingerprint.fingerprint_spec`),
-  which the payload also embeds and loading re-checks.
+  which the payload also embeds and loading re-checks; their traffic
+  is the ``snapshots`` section of a run's ``cache_stats``.
 
 Loading also registers the database in :mod:`repro.core.arm`'s
 build cache, so a later ``build_api_database(repository)`` over the
@@ -34,22 +34,23 @@ from ..framework.generator import materialize_class
 from ..framework.repository import FrameworkRepository
 from ..framework.spec import FrameworkSpec
 from .fingerprint import CACHE_SCHEMA_VERSION, fingerprint_spec
-from .store import ContentStore, pickled, unframe
+from .store import ContentStore, pickled, tracked_stats, unframe
 
 __all__ = [
     "snapshot_path",
-    "substrate_payload",
-    "restore_substrate",
     "write_snapshot",
     "ensure_snapshot",
-    "load_snapshot",
     "load_or_build_substrate",
 ]
 
 
 def _store(cache_dir: str | Path) -> ContentStore:
     return ContentStore(
-        cache_dir, "framework", CACHE_SCHEMA_VERSION, suffix=".snapshot"
+        cache_dir,
+        "framework",
+        CACHE_SCHEMA_VERSION,
+        suffix=".snapshot",
+        stats=tracked_stats("snapshots"),
     )
 
 
@@ -57,12 +58,10 @@ def snapshot_path(cache_dir: str | Path, key: str) -> Path:
     return _store(cache_dir).path(key)
 
 
-def substrate_payload(
+def _payload(
     framework: FrameworkRepository, apidb: ApiDatabase, key: str
 ) -> dict:
-    """The substrate as one picklable document — the shared
-    materialized form used by both disk snapshots and
-    :class:`~repro.cache.shared.SharedSubstrate` segments."""
+    """The substrate as one picklable document."""
     return {
         "version": CACHE_SCHEMA_VERSION,
         "key": key,
@@ -75,11 +74,13 @@ def substrate_payload(
     }
 
 
-def restore_substrate(
-    doc: object, *, key: str | None = None
-) -> tuple[FrameworkRepository, ApiDatabase] | None:
-    """Rebuild ``(framework, apidb)`` from a :func:`substrate_payload`
-    document; ``None`` on any structural defect or key mismatch."""
+def _decode(
+    payload: bytes, key: str | None
+) -> tuple[FrameworkRepository, ApiDatabase]:
+    """Rebuild ``(framework, apidb)`` from a pickled :func:`_payload`
+    document; ``ValueError`` on any structural defect or key
+    mismatch."""
+    doc = pickle.loads(payload)
     if (
         not isinstance(doc, dict)
         or doc.get("version") != CACHE_SCHEMA_VERSION
@@ -87,7 +88,7 @@ def restore_substrate(
         or not isinstance(doc.get("spec"), FrameworkSpec)
         or not isinstance(doc.get("apidb"), ApiDatabase)
     ):
-        return None
+        raise ValueError("not a substrate snapshot for this key")
     framework = FrameworkRepository(doc["spec"])
     framework.preload_class_cache(
         {
@@ -101,15 +102,6 @@ def restore_substrate(
     return framework, apidb
 
 
-def _decode(
-    payload: bytes, key: str | None
-) -> tuple[FrameworkRepository, ApiDatabase]:
-    loaded = restore_substrate(pickle.loads(payload), key=key)
-    if loaded is None:
-        raise ValueError("not a substrate snapshot for this key")
-    return loaded
-
-
 def write_snapshot(
     cache_dir: str | Path,
     key: str,
@@ -118,7 +110,7 @@ def write_snapshot(
 ) -> Path:
     """Serialize the substrate under ``key``; returns the file path."""
     store = _store(cache_dir)
-    store.put(key, pickled(substrate_payload(framework, apidb, key)))
+    store.put(key, pickled(_payload(framework, apidb, key)))
     return store.path(key)
 
 
@@ -141,10 +133,11 @@ def ensure_snapshot(
     return store.path(key)
 
 
-def load_snapshot(
+def _load_snapshot(
     path: str | Path, *, key: str | None = None
 ) -> tuple[FrameworkRepository, ApiDatabase] | None:
-    """Load the snapshot file at ``path``; ``None`` on any defect
+    """Load the snapshot file at ``path`` directly, outside the
+    store's accounting; ``None`` on any defect
     (missing, truncated, checksum mismatch, version/key mismatch) — a
     miss, never an error.  Without ``key`` the embedded key is
     trusted."""

@@ -27,6 +27,9 @@ __all__ = [
     "StoreStats",
     "frame",
     "pickled",
+    "reset_tracked_stats",
+    "tracked_sections",
+    "tracked_stats",
     "unframe",
     "unpickle",
 ]
@@ -120,6 +123,27 @@ class StoreStats:
                 value = getattr(total, name) + record.get(name, 0)
                 setattr(total, name, value)
         return total.as_dict()
+
+
+# Owners that open a fresh ContentStore per operation (summary tables,
+# snapshots) count into one process-wide StoreStats per report section,
+# so their traffic reaches ``cache_stats`` like the long-lived stores'.
+_TRACKED: dict[str, StoreStats] = {}
+
+
+def tracked_stats(section: str) -> StoreStats:
+    """This process's counters for ``section``, created on first use."""
+    return _TRACKED.setdefault(section, StoreStats())
+
+
+def tracked_sections() -> dict[str, dict]:
+    """The :meth:`StoreStats.as_dict` view of every tracked section."""
+    return {name: stats.as_dict() for name, stats in _TRACKED.items()}
+
+
+def reset_tracked_stats() -> None:
+    """Drop every tracked section (a fresh pool worker; tests)."""
+    _TRACKED.clear()
 
 
 class ContentStore:

@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scale", type=float, default=1.0)
 
     jobs_help = (
-        "worker processes for corpus analysis (1 = serial; each "
-        "worker builds the shared framework + API database once)"
+        "worker processes for corpus analysis (1 = serial; workers "
+        "are forked and inherit the framework + API database)"
     )
 
     def _add_corpus_flags(command: argparse.ArgumentParser) -> None:

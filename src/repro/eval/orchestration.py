@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import threading
 import time
 from pathlib import Path
 from typing import Callable, Iterable
@@ -118,13 +119,18 @@ class CorpusBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release machine-wide resources (shared-memory segments).
+        """Release the backend's processes (a pool's workers).
         Called from a ``finally`` — it must be idempotent and safe
         even when :meth:`prepare` never ran or a round raised."""
 
 
 class SerialBackend(CorpusBackend):
-    """In-process scheduler: one app at a time, corpus order."""
+    """In-process scheduler: one app at a time, corpus order.
+
+    ``timeout_s`` is enforced with ``SIGALRM``, which only the main
+    thread receives: setting it on any other thread is a
+    ``ValueError`` here, before any app is analyzed.
+    """
 
     def __init__(
         self,
@@ -133,6 +139,14 @@ class SerialBackend(CorpusBackend):
         timeout_s: float | None = None,
         fault_plan=None,
     ) -> None:
+        if (
+            timeout_s is not None
+            and threading.current_thread() is not threading.main_thread()
+        ):
+            raise ValueError(
+                "a serial per-app deadline (timeout_s) needs the main "
+                "thread: SIGALRM is delivered to no other"
+            )
         self._toolset = toolset
         self._timeout_s = timeout_s
         self._fault_plan = fault_plan
@@ -282,9 +296,9 @@ def run_corpus(
             still_pending.append(entry)
         pending = still_pending
 
-    # The close() in the finally is the backstop that keeps shared
-    # substrate segments from outliving the run when a round raises or
-    # SIGINT unwinds the loop.
+    # The close() in the finally is the backstop that keeps pool
+    # workers from outliving the run when a round raises or SIGINT
+    # unwinds the loop.
     try:
         if pending:
             backend.prepare(cache_dir, pending)

@@ -9,19 +9,16 @@ by the batch engine (``run_tools(apps, jobs=N)`` →
 (:class:`~repro.serve.service.AnalysisService` →
 :func:`~repro.eval.orchestration.run_stream`):
 
-* **shared substrate** — the parent prepares the substrate exactly
+* **inherited substrate** — the parent prepares the substrate exactly
   once per pool (the caller's framework repository and API database
   when given, else loaded or built; the pending apps' framework levels
-  pre-warmed; optional framework summary table) and every worker
-  *attaches* instead of rebuilding: under fork the prepared objects
-  are inherited as copy-on-write pages; elsewhere a protocol-5
-  :class:`~repro.cache.shared.SharedSubstrate` segment is published
-  once and mapped by each worker — respawned ones included;
-* **worker bootstrap** — each worker resolves the substrate through a
-  cheapest-first ladder (inherited parent substrate → in-process
-  build memo → shared segment → snapshot file → mine from the spec);
-  every app it analyzes afterwards hits the worker-local framework
-  class cache and database memo tables;
+  pre-warmed; optional framework summary table), and every worker —
+  respawned ones included — inherits the prepared objects over
+  ``fork`` as copy-on-write pages instead of rebuilding them.  Fork is
+  the only start method: a platform without it cannot build a pool
+  (``ValueError``), and nothing is ever re-mined or re-read per
+  worker.  Every app a worker analyzes hits the worker-local
+  framework class cache and database memo tables;
 * **resident workers, per-app dispatch** — each worker is one forked
   process with a private duplex pipe and a slot in a shared heartbeat
   array; the parent hands each idle worker one app at a time, and the
@@ -65,7 +62,9 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import TYPE_CHECKING, Iterable
 
-from ..core.arm import build_api_database, cached_database, register_database
+from ..cache.classes import ClassStoreStats
+from ..cache.store import StoreStats, reset_tracked_stats, tracked_sections
+from ..core.arm import register_database
 from ..core.errors import AnalysisError, AnalysisPhase, ErrorKind
 from ..framework.repository import FrameworkCacheStats, FrameworkRepository
 from ..framework.spec import FrameworkSpec
@@ -95,72 +94,22 @@ _DRAIN_POLL_S = 0.05
 
 # -- worker side -----------------------------------------------------------
 
-#: The shared segment this worker attached (kept open for the process
-#: lifetime: the decoded payload may reference the mapped pages).
-_WORKER_SEGMENT = None
-
-
 def _init_worker(
-    spec: FrameworkSpec,
+    framework: FrameworkRepository,
+    apidb,
     include: tuple[str, ...],
-    inherited: "tuple[FrameworkRepository, object] | None" = None,
-    snapshot_file: str | None = None,
-    shared_handle=None,
     summaries: bool = False,
     cache_dir: str | None = None,
     dedup: bool = False,
 ) -> ToolSet:
-    """Resolve the substrate in this worker and build its tool set."""
-    global _WORKER_SEGMENT
-    # Substrate resolution order, cheapest first:
-    #
-    # 1. the parent-prepared substrate — under the fork start method
-    #    every worker (respawned ones included) inherits the parent's
-    #    pre-warmed repository and mined database as copy-on-write
-    #    pages: zero per-worker rebuild cost;
-    # 2. the in-process build memo (fork, database only);
-    # 3. the shared-memory substrate segment (spawn platforms, one
-    #    deserialization instead of a re-mine + disk read per worker);
-    # 4. the on-disk framework snapshot;
-    # 5. mining from the spec (no cache at all).
-    framework: FrameworkRepository | None = None
-    apidb = None
-    if inherited is not None:
-        framework, apidb = inherited
-    if apidb is None:
-        apidb = cached_database(spec)
-    if apidb is None and shared_handle is not None:
-        from ..cache.shared import SharedSubstrate
-        from ..cache.snapshot import restore_substrate
-
-        segment = SharedSubstrate.attach(shared_handle)
-        if segment is not None:
-            restored = restore_substrate(
-                segment.payload(), key=shared_handle.key
-            )
-            if restored is not None:
-                framework, apidb = restored
-                # Keep the mapping for the process lifetime — the
-                # restored objects may reference the shared pages.
-                _WORKER_SEGMENT = segment
-            else:
-                segment.close()
-    if apidb is None and snapshot_file is not None:
-        from ..cache.snapshot import load_snapshot
-
-        loaded = load_snapshot(snapshot_file)
-        if loaded is not None:
-            framework, apidb = loaded
-            register_database(spec, apidb)
-    if framework is None:
-        framework = FrameworkRepository(spec)
-    if apidb is None:
-        apidb = build_api_database(framework)
-    # An inherited or snapshot-loaded database carries whatever cache
-    # counters its builder accumulated — a warm start we gladly keep,
-    # but the accounting must cover only this worker's activity.
+    """Build this worker's tool set over the substrate it inherited
+    from the parent as copy-on-write pages (zero rebuild cost)."""
+    # The inherited database and cache counters carry the parent's
+    # activity — a warm start we gladly keep, but the accounting must
+    # cover only this worker's.
     apidb.reset_cache_counters()
     framework.cache_stats = FrameworkCacheStats()
+    reset_tracked_stats()
     return ToolSet.default(
         framework,
         apidb,
@@ -172,12 +121,10 @@ def _init_worker(
     )
 
 
-def _worker_main(
-    conn, heartbeat, slot: int, spec: FrameworkSpec, *setup
-) -> None:
-    """One resident worker: bootstrap the substrate, then serve tasks
-    off the pipe until the ``None`` sentinel (or pipe loss).
-    ``setup`` is :func:`_init_worker`'s arguments after the spec."""
+def _worker_main(conn, heartbeat, slot: int, *setup) -> None:
+    """One resident worker: build the tool set, then serve tasks off
+    the pipe until the ``None`` sentinel (or pipe loss).  ``setup`` is
+    :func:`_init_worker`'s arguments."""
     import signal as _signal
 
     # A daemon's drain handler belongs to the parent; a worker that
@@ -186,7 +133,7 @@ def _worker_main(
         _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover
         pass
-    toolset = _init_worker(spec, *setup)
+    toolset = _init_worker(*setup)
     heartbeat[slot] = time.time()
     parent = os.getppid()
     while True:
@@ -225,12 +172,9 @@ def _worker_main(
 # -- parent side -----------------------------------------------------------
 
 def _pool_context():
-    """Prefer fork (cheap worker startup, parent pages shared); fall
-    back to the platform default where fork is unavailable."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX platforms
-        return multiprocessing.get_context()
+    """The fork start method: workers inherit the parent's prepared
+    substrate.  Raises ``ValueError`` on platforms without fork."""
+    return multiprocessing.get_context("fork")
 
 
 def _worker_lost_results(
@@ -264,7 +208,9 @@ def _worker_lost_results(
 
 
 def _merge_cache_stats(snapshots: dict[int, dict]) -> dict:
-    """Sum per-worker cumulative snapshots into one corpus view."""
+    """Sum per-worker cumulative snapshots — and the parent's own
+    summary-table and snapshot traffic from :meth:`PoolBackend.prepare`
+    — into one corpus view."""
     merged = {
         "workers": len(snapshots),
         "framework": {
@@ -311,16 +257,21 @@ def _merge_cache_stats(snapshots: dict[int, dict]) -> dict:
         db["resolve_misses"] + db["levels_misses"] + db["permission_misses"]
     )
     db["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-    # Class-artifact store traffic (only present in --dedup workers).
-    sections = [
-        snapshot["classes"]
-        for snapshot in snapshots.values()
-        if snapshot.get("classes")
-    ]
-    if sections:
-        from ..cache.classes import ClassStoreStats
-
-        merged["classes"] = ClassStoreStats.summed(sections)
+    # Store traffic: class artifacts (only in --dedup workers), summary
+    # tables and snapshots (workers and parent).
+    parent = tracked_sections()
+    for name, stats_type in (
+        ("classes", ClassStoreStats),
+        ("summaries", StoreStats),
+        ("snapshots", StoreStats),
+    ):
+        sections = [
+            snapshot[name]
+            for snapshot in (*snapshots.values(), parent)
+            if snapshot.get(name)
+        ]
+        if sections:
+            merged[name] = stats_type.summed(sections)
     return merged
 
 
@@ -383,7 +334,6 @@ class PoolBackend(CorpusBackend):
         self._inflight: dict[int, tuple[Entry, float]] = {}
         self._worker_stats: dict[int, dict] = {}
         self._setup: tuple = ()
-        self._segment = None
         #: Serializes spawning against :meth:`close` so a respawn that
         #: races a concurrent close cannot leave an orphan worker.
         self._lock = threading.Lock()
@@ -412,11 +362,10 @@ class PoolBackend(CorpusBackend):
 
     def prepare(self, cache_dir=None, pending: Iterable[Entry] = ()) -> None:
         """Load (or adopt) the substrate once, pre-warm the framework
-        levels and summary tables ``pending`` will touch, publish the
-        substrate to workers, and spawn the pool.  Idempotent, and a
-        no-op on a closed pool.  The snapshot and stores live under the
-        pool's own ``cache_dir``; the argument is the
-        :class:`CorpusBackend` signature's."""
+        levels and summary tables ``pending`` will touch, and fork the
+        pool over it.  Idempotent, and a no-op on a closed pool.  The
+        snapshot and stores live under the pool's own ``cache_dir``;
+        the argument is the :class:`CorpusBackend` signature's."""
         if self._started or self._closed:
             return
         if self._substrate is None:
@@ -430,13 +379,12 @@ class PoolBackend(CorpusBackend):
             source = "provided"
         self.substrate_source = source
         register_database(self._spec, apidb)
-        snapshot_file = None
         if self.cache_dir is not None:
             from ..cache import ensure_snapshot
 
-            snapshot_file = str(
-                ensure_snapshot(self.cache_dir, framework, apidb)
-            )
+            # For the next cold process, which loads it instead of
+            # re-mining; this pool's workers inherit the substrate.
+            ensure_snapshot(self.cache_dir, framework, apidb)
         levels = _pending_levels(pending)
         for level in levels:
             try:
@@ -456,23 +404,10 @@ class PoolBackend(CorpusBackend):
                     table.level_summaries(level)
                 except ValueError:  # pragma: no cover — range-checked
                     continue
-        # Fork workers inherit the substrate; non-fork platforms (and
-        # chaos runs forcing the segment path) get a shared segment.
-        fork = self._ctx.get_start_method() == "fork"
-        if not fork or os.environ.get("REPRO_FORCE_SHARED_SUBSTRATE"):
-            from ..cache import fingerprint_spec
-            from ..cache.shared import SharedSubstrate
-            from ..cache.snapshot import substrate_payload
-
-            key = fingerprint_spec(self._spec)
-            self._segment = SharedSubstrate.publish(
-                substrate_payload(framework, apidb, key), key
-            )
         self._setup = (
+            framework,
+            apidb,
             self.include,
-            (framework, apidb) if fork else None,
-            snapshot_file,
-            self._segment.handle if self._segment is not None else None,
             self.summaries,
             self.cache_dir,
             self.dedup,
@@ -536,8 +471,7 @@ class PoolBackend(CorpusBackend):
         return merged
 
     def close(self) -> None:
-        """Stop every worker and unlink the shared segment.  Idempotent
-        and safe mid-round from another thread (``run_corpus`` calls it
+        """Stop every worker.  Idempotent and safe mid-round from another thread (``run_corpus`` calls it
         from a ``finally``, the daemon from its drain path)."""
         with self._lock:
             if self._closed:
@@ -560,9 +494,6 @@ class PoolBackend(CorpusBackend):
                 worker.process.join(timeout=1.0)
             worker.conn.close()
         self._inflight.clear()
-        if self._segment is not None:
-            self._segment.close(unlink=True)
-            self._segment = None
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -573,8 +504,7 @@ class PoolBackend(CorpusBackend):
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._heartbeat, slot, self._spec)
-                + self._setup,
+                args=(child_conn, self._heartbeat, slot) + self._setup,
                 daemon=True,
             )
             process.start()

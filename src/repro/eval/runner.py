@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 import signal
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -173,8 +172,11 @@ class ToolSet:
         return tuple(tool.name for tool in self.tools)
 
     def cache_stats(self) -> dict:
-        """Framework + database cache accounting for this tool set."""
+        """Framework + database cache accounting for this tool set,
+        plus this process's class-artifact, summary-table and snapshot
+        store traffic."""
         from ..cache.classes import ClassStoreStats, registered_stores
+        from ..cache.store import tracked_sections
 
         stats = {
             "framework": self.framework.cache_stats.as_dict(),
@@ -185,6 +187,7 @@ class ToolSet:
             stats["classes"] = ClassStoreStats.summed(
                 store.stats.as_dict() for store in stores
             )
+        stats.update(tracked_sections())
         return stats
 
 
@@ -362,21 +365,18 @@ class RunResults:
 # per-app deadlines
 # ---------------------------------------------------------------------------
 
-#: Module flag (not a local ``hasattr`` check) so tests can force the
-#: thread-based fallback on platforms that do have ``SIGALRM``.
-_SIGALRM_AVAILABLE = hasattr(signal, "SIGALRM")
-
-
 @contextmanager
 def _app_deadline(timeout_s: float | None):
     """Raise :class:`AppTimeoutError` after ``timeout_s`` wall seconds.
 
     Uses ``SIGALRM`` (one app per process at a time, in both the
-    serial loop and pool workers, so the timer is never shared).  On
-    exit any pre-existing handler *and* itimer are restored — a nested
-    use (an outer coarser deadline around an inner per-app one) keeps
-    the outer timer running with its remaining budget instead of
-    having it silently cancelled.
+    serial loop and pool workers, so the timer is never shared), so it
+    must run on the main thread of a POSIX process.  On exit any
+    pre-existing handler *and* itimer are restored — a nested use (an
+    outer coarser deadline around an inner per-app one) keeps the
+    outer timer running with its remaining budget instead of having
+    it silently cancelled.  A worker wedged where the signal cannot
+    interrupt it (C code) is the pool parent's hang backstop's job.
     """
     if timeout_s is None:
         yield
@@ -406,53 +406,6 @@ def _app_deadline(timeout_s: float | None):
             signal.setitimer(
                 signal.ITIMER_REAL, remaining, prev_interval
             )
-
-
-def _call_with_thread_deadline(fn: Callable[[], None], timeout_s: float):
-    """Deadline fallback for platforms without ``SIGALRM`` (and for
-    non-main threads, where signals cannot be delivered).
-
-    The analysis runs in a daemon thread that is *abandoned* on
-    timeout — Python offers no safe preemption — so the caller's run
-    proceeds while the stuck computation is left to the process's
-    lifetime.  Pool workers are resident, so on such platforms a
-    worker's abandoned threads accumulate until the pool closes.
-    """
-    outcome: dict[str, BaseException] = {}
-    done = threading.Event()
-
-    def _target() -> None:
-        try:
-            fn()
-        except BaseException as exc:  # noqa: BLE001 — re-raised below
-            outcome["error"] = exc
-        finally:
-            done.set()
-
-    worker = threading.Thread(
-        target=_target, name="app-deadline", daemon=True
-    )
-    worker.start()
-    if not done.wait(timeout_s):
-        raise AppTimeoutError(
-            f"app analysis exceeded {timeout_s:.0f}s wall-clock budget"
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-
-
-def _run_under_deadline(fn: Callable[[], None], timeout_s: float | None):
-    """Run ``fn`` under the best available deadline mechanism."""
-    if timeout_s is None:
-        fn()
-        return
-    if _SIGALRM_AVAILABLE and (
-        threading.current_thread() is threading.main_thread()
-    ):
-        with _app_deadline(timeout_s):
-            fn()
-        return
-    _call_with_thread_deadline(fn, timeout_s)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +482,8 @@ def analyze_app(
             diag.code
             for diag in getattr(forged.apk, "diagnostics", ())
         )
-        _run_under_deadline(_run_all_tools, timeout_s)
+        with _app_deadline(timeout_s):
+            _run_all_tools()
     except Exception as exc:  # noqa: BLE001 — recorded, not swallowed
         result.reports.clear()
         result.error = classify_exception(exc, attempts=attempt + 1)

@@ -19,12 +19,13 @@ GET     ``/readyz``     **200** when the daemon can usefully accept work,
                         full queue)
 GET     ``/statsz``     always **200**: cumulative cache counters — result-
                         cache dedup, per-worker class-artifact and guard-row
-                        hit rates, on-disk footprint per store
+                        hit rates, summary-table and snapshot store
+                        traffic, on-disk footprint per store
 ======  ==============  =====================================================
 
 :func:`install_signal_handlers` wires SIGTERM/SIGINT to the graceful
 drain: stop admitting, finish in-flight jobs, flush the journal,
-unlink shared segments, then stop the HTTP loop.  The handler is
+stop the workers, then stop the HTTP loop.  The handler is
 once-guarded *and* the drain itself is idempotent, so a second signal
 mid-drain is absorbed.
 """

@@ -16,7 +16,7 @@ serve`` — tests and benchmarks drive it in-process, the HTTP layer
 ``drain()``
     the graceful-shutdown path (SIGTERM): stop admitting, let the
     dispatcher finish every in-flight job, stop the workers, flush
-    journal and cache, unlink shared-memory segments.  Idempotent —
+    journal and cache.  Idempotent —
     a second SIGTERM mid-drain is absorbed, not amplified.
 
 ``health()`` / ``ready()``
@@ -37,7 +37,7 @@ from ..apk.serialization import apk_from_dict
 from ..cache.fingerprint import fingerprint_config, fingerprint_spec
 from ..eval.faults import FaultKind
 from ..eval.orchestration import run_stream
-from ..eval.parallel import PoolBackend
+from ..eval.parallel import HANG_GRACE_S, PoolBackend
 from ..eval.runner import DEFAULT_TOOLS
 from ..framework.spec import FrameworkSpec
 from ..workload.appgen import ForgedApp
@@ -82,8 +82,6 @@ class ServeConfig:
     retry_after_s: float = 0.5
     #: Per-app wall-clock budget inside workers.
     timeout_s: float | None = 20.0
-    #: Backstop deadline before a busy worker is declared hung.
-    hang_timeout_s: float = 30.0
     #: Retry budget for retryable failures before quarantine.
     max_retries: int = 2
     #: Full-jitter backoff base between retries.
@@ -182,7 +180,9 @@ class AnalysisService:
             workers=config.workers,
             include=config.include,
             timeout_s=config.timeout_s,
-            hang_timeout_s=config.hang_timeout_s,
+            # A resident daemon always keeps the hang backstop, with
+            # or without a per-app deadline.
+            hang_timeout_s=HANG_GRACE_S,
             summaries=config.summaries,
             cache_dir=config.cache_dir,
             dedup=config.dedup,
@@ -399,8 +399,10 @@ class AnalysisService:
         this answers *how much re-analysis the daemon is avoiding* —
         result-cache admission dedup, per-worker API/class-store
         traffic (the ``classes`` section carries class-artifact and
-        guard-row hit rates that climb as a corpus streams in), and
-        the on-disk footprint per store under the shared byte budget.
+        guard-row hit rates that climb as a corpus streams in; the
+        ``summaries`` and ``snapshots`` sections the summary-table and
+        substrate-snapshot stores'), and the on-disk footprint per
+        store under the shared byte budget.
         """
         state = self._state
         worker_caches = (

@@ -6,10 +6,10 @@ from repro.cache import (
     ensure_snapshot,
     fingerprint_spec,
     load_or_build_substrate,
-    load_snapshot,
     snapshot_path,
     write_snapshot,
 )
+from repro.cache.snapshot import _load_snapshot
 from repro.core.arm import build_api_database
 from repro.framework.catalog import build_spec
 from repro.framework.repository import FrameworkRepository
@@ -26,7 +26,7 @@ class TestRoundTrip:
         spec, framework, apidb = _small_substrate()
         key = fingerprint_spec(spec)
         path = write_snapshot(tmp_path, key, framework, apidb)
-        loaded = load_snapshot(path, key=key)
+        loaded = _load_snapshot(path, key=key)
         assert loaded is not None
         loaded_framework, loaded_db = loaded
         assert sorted(loaded_framework.spec.class_names) == sorted(
@@ -44,7 +44,7 @@ class TestRoundTrip:
         assert framework.export_class_cache()
         key = fingerprint_spec(spec)
         path = write_snapshot(tmp_path, key, framework, apidb)
-        loaded_framework, _ = load_snapshot(path, key=key)
+        loaded_framework, _ = _load_snapshot(path, key=key)
         assert (
             loaded_framework.export_class_cache().keys()
             == framework.export_class_cache().keys()
@@ -66,15 +66,15 @@ class TestRoundTrip:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert load_snapshot(path, key=key) is None
+        assert _load_snapshot(path, key=key) is None
 
         assert ensure_snapshot(tmp_path, framework, apidb) == path
-        assert load_snapshot(path, key=key) is not None
+        assert _load_snapshot(path, key=key) is not None
 
 
 class TestDefectsAreMisses:
     def test_missing_file(self, tmp_path):
-        assert load_snapshot(tmp_path / "nope.snapshot") is None
+        assert _load_snapshot(tmp_path / "nope.snapshot") is None
 
     def test_truncated_file(self, tmp_path):
         spec, framework, apidb = _small_substrate()
@@ -82,7 +82,7 @@ class TestDefectsAreMisses:
         path = write_snapshot(tmp_path, key, framework, apidb)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        assert load_snapshot(path, key=key) is None
+        assert _load_snapshot(path, key=key) is None
 
     def test_bit_flip_fails_checksum(self, tmp_path):
         spec, framework, apidb = _small_substrate()
@@ -91,19 +91,19 @@ class TestDefectsAreMisses:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert load_snapshot(path, key=key) is None
+        assert _load_snapshot(path, key=key) is None
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         spec, framework, apidb = _small_substrate()
         path = write_snapshot(tmp_path, "some-key", framework, apidb)
-        assert load_snapshot(path, key="other-key") is None
+        assert _load_snapshot(path, key="other-key") is None
         # Without a key constraint, the embedded key is trusted.
-        assert load_snapshot(path) is not None
+        assert _load_snapshot(path) is not None
 
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "tiny.snapshot"
         path.write_bytes(b"short")
-        assert load_snapshot(path) is None
+        assert _load_snapshot(path) is None
 
 
 class TestLoadOrBuild:

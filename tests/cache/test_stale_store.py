@@ -35,7 +35,7 @@ from repro.analysis.fwsummaries import (
 from repro.cache.classes import registered_stores, reset_class_stores
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION, fingerprint_spec
 from repro.cache.manifest import _reset_shared_manifests
-from repro.cache.snapshot import load_snapshot, snapshot_path
+from repro.cache.snapshot import _load_snapshot, snapshot_path
 from repro.cache.store import frame, unframe
 from repro.eval.runner import ToolSet, run_tools
 from repro.framework.spec import (
@@ -289,7 +289,7 @@ class TestStaleArtifacts:
         loaded.level_summaries(LEVEL)
         assert loaded.stats.levels_loaded == 1
         key = fingerprint_spec(framework.spec)
-        assert load_snapshot(snapshot_path(cache_dir, key), key=key)
+        assert _load_snapshot(snapshot_path(cache_dir, key), key=key)
         manifest = json.loads((cache_dir / "manifest.json").read_text())
         assert f"framework/{key}.snapshot" in manifest["entries"]
         reset_class_stores()

@@ -18,7 +18,7 @@ from repro.cache import snapshot
 from repro.cache.classes import ClassStore
 from repro.cache.manifest import shared_manifest
 from repro.cache.results import ResultCache
-from repro.cache.store import ContentStore, frame
+from repro.cache.store import ContentStore, frame, reset_tracked_stats
 
 KEY = "ab" + "0" * 62
 OTHER_KEY = "cd" + "1" * 62
@@ -57,6 +57,9 @@ OWNERS = {
 
 @pytest.fixture(params=sorted(OWNERS))
 def store(request, tmp_path, framework, apidb) -> ContentStore:
+    # Summary tables and snapshots count into process-wide counters;
+    # every case starts them at zero.
+    reset_tracked_stats()
     opened = OWNERS[request.param](tmp_path, framework, apidb)
     assert opened.namespace == request.param
     return opened

@@ -8,9 +8,14 @@ cache never masks a fault-injected or quarantined app.
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
+from repro.analysis import fwsummaries
 from repro.cache import fingerprint_spec, snapshot_path
+from repro.cache.manifest import _reset_shared_manifests
+from repro.cache.store import reset_tracked_stats
 from repro.eval import ToolSet, run_tools
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.tables import phase_breakdown, render_phases
@@ -343,6 +348,54 @@ class TestPhaseTiming:
         payload = json.loads(path.read_text())
         phases = payload[0]["tools"]["SAINTDroid"]["phaseSeconds"]
         assert set(phases) == {"load", "explore", "guards", "detect"}
+
+
+class TestStoreTraffic:
+    """Summary-table and snapshot store traffic reaches
+    ``cache_stats``: each corrupt entry is counted once and healed."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_summary_and_snapshot_are_counted_and_healed(
+        self, tmp_path, framework, apidb, small_corpus, jobs, monkeypatch
+    ):
+        def run():
+            # Like a fresh process: no memoized summary levels, no
+            # open manifest, no counters; evicted results force the
+            # apps through analysis.
+            monkeypatch.setattr(fwsummaries, "_TABLES", {})
+            _reset_shared_manifests()
+            reset_tracked_stats()
+            shutil.rmtree(tmp_path / "results", ignore_errors=True)
+            return run_tools(
+                small_corpus,
+                ToolSet.default(
+                    framework, apidb, include=TOOLS,
+                    summaries=True, summaries_dir=str(tmp_path),
+                ),
+                jobs=jobs,
+                cache_dir=tmp_path,
+            )
+
+        cold = run()
+        summaries = sorted((tmp_path / "summaries").rglob("*.summ"))
+        snapshot = snapshot_path(tmp_path, fingerprint_spec(framework.spec))
+        assert summaries and snapshot.exists()
+        for path in (summaries[0], snapshot):
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0xFF
+            path.write_bytes(bytes(blob))
+
+        damaged = run()
+        assert damaged.fingerprint() == cold.fingerprint()
+        assert damaged.cache_stats["summaries"]["corrupt"] == 1
+        assert damaged.cache_stats["snapshots"]["corrupt"] == 1
+
+        healed = run()
+        assert healed.fingerprint() == cold.fingerprint()
+        for section in ("summaries", "snapshots"):
+            stats = healed.cache_stats[section]
+            assert stats["corrupt"] == 0 and stats["misses"] == 0
+            assert stats["hits"] > 0
 
 
 class TestRetryRoundSubstrateReuse:

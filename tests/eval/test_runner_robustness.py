@@ -1,22 +1,22 @@
-"""Runner robustness: deadlines (signal + thread fallback), retries,
-backoff bounds, and the failure-breakdown renderer."""
+"""Runner robustness: the SIGALRM deadline (main thread only),
+retries, backoff bounds, and the failure-breakdown renderer."""
 
 from __future__ import annotations
 
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.core.errors import AnalysisError, ErrorKind
-from repro.eval import ToolSet, analyze_app, run_tools
+from repro.eval import ToolSet, run_tools
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.runner import (
     BACKOFF_CAP_FACTOR,
     AppTimeoutError,
     _app_deadline,
     _bounded_backoff,
-    _call_with_thread_deadline,
 )
 from repro.eval.tables import failure_breakdown, render_failures
 from repro.workload.corpus import CorpusConfig, generate_corpus
@@ -72,40 +72,29 @@ class TestSignalDeadline:
         assert remaining == 0.0
 
 
-class TestThreadDeadline:
-    def test_timeout_raised(self):
-        with pytest.raises(AppTimeoutError):
-            _call_with_thread_deadline(lambda: time.sleep(2.0), 0.1)
-
-    def test_exception_propagated(self):
-        def boom():
-            raise ValueError("from the worker thread")
-
-        with pytest.raises(ValueError, match="from the worker thread"):
-            _call_with_thread_deadline(boom, 5.0)
-
-    def test_completion_within_budget(self):
-        ran = []
-        _call_with_thread_deadline(lambda: ran.append(1), 5.0)
-        assert ran == [1]
-
-    def test_analyze_app_uses_fallback_without_sigalrm(
-        self, monkeypatch, toolset, small_corpus
+class TestDeadlineOffMainThread:
+    def test_serial_deadline_off_the_main_thread_is_rejected(
+        self, toolset, small_corpus, monkeypatch
     ):
-        # Simulate a platform with no SIGALRM: the fallback must still
-        # turn a hang into a typed timeout record.
+        analyzed = []
         monkeypatch.setattr(
-            "repro.eval.runner._SIGALRM_AVAILABLE", False
+            "repro.eval.orchestration.analyze_app",
+            lambda *args, **kwargs: analyzed.append(args),
         )
-        fault = InjectedFault(
-            FaultKind.HANG, fail_attempts=None, hang_s=2.0
-        )
-        result = analyze_app(
-            toolset, small_corpus[0], timeout_s=0.2, fault=fault
-        )
-        assert not result.ok
-        assert result.error.kind is ErrorKind.TIMEOUT
-        assert result.error.retryable
+        outcome: dict = {}
+
+        def run() -> None:
+            try:
+                run_tools(small_corpus, toolset, timeout_s=1.0)
+            except BaseException as exc:  # noqa: BLE001 — inspected below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert isinstance(outcome.get("error"), ValueError)
+        assert "main thread" in str(outcome["error"])
+        assert analyzed == []
 
 
 class TestBackoff:

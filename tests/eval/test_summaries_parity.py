@@ -10,7 +10,7 @@ contract, enforced here and by the CI parity job:
 * the summarized mode's modeled work and memory are strictly lower
   (that is the whole point of the table);
 * parallel summarized runs are full-fingerprint identical to serial
-  summarized runs — including over the shared-memory attach path.
+  summarized runs.
 """
 
 from __future__ import annotations
@@ -120,23 +120,6 @@ class TestSchedulerParity:
     def test_parallel_summarized_matches_serial(
         self, framework, apidb, corpus, summarized_run
     ):
-        parallel = run_tools(
-            corpus,
-            ToolSet.default(
-                framework, apidb, include=("SAINTDroid",),
-                summaries=True,
-            ),
-            jobs=2,
-        )
-        assert parallel.fingerprint() == summarized_run.fingerprint()
-
-    def test_shared_segment_attach_path_matches(
-        self, framework, apidb, corpus, summarized_run, monkeypatch
-    ):
-        """Force the pool to publish + attach the shared-memory
-        substrate segment even under fork, so the zero-copy path is
-        exercised on every platform the tests run on."""
-        monkeypatch.setenv("REPRO_FORCE_SHARED_SUBSTRATE", "1")
         parallel = run_tools(
             corpus,
             ToolSet.default(

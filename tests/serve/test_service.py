@@ -258,6 +258,9 @@ class TestStatsz:
         classes = caches["classes"]
         assert classes["hits"] + classes["misses"] > 0
         assert 0.0 <= classes["hit_rate"] <= 1.0
+        # The parent verified (or wrote) the substrate snapshot.
+        snapshots = caches["snapshots"]
+        assert snapshots["hits"] + snapshots["stores"] >= 1
         assert "store_sizes" in doc
 
         # Drain flushes worker stores and adopts their manifest rows:

@@ -13,7 +13,7 @@ from repro.core.errors import ErrorKind
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.runner import ToolSet, analyze_app
 from repro.eval.orchestration import BackendClosedError
-from repro.eval.parallel import PoolBackend
+from repro.eval.parallel import HANG_GRACE_S, PoolBackend
 
 from tests.conftest import activity_class, make_apk
 from repro.workload.appgen import ForgedApp
@@ -146,25 +146,17 @@ class TestHungWorker:
         finally:
             sup.close()
 
-    def test_serve_default_backstop_is_unchanged(self, spec):
+    def test_serve_default_backstop_is_unchanged(self, make_service):
         from repro.serve import ServeConfig
 
-        config = ServeConfig()
-        pool = PoolBackend(
-            spec,
-            timeout_s=config.timeout_s,
-            hang_timeout_s=config.hang_timeout_s,
-        )
-        assert pool._hang_deadline() == 20.0 + 30.0
+        service = make_service(timeout_s=ServeConfig().timeout_s)
+        assert service.pool._hang_deadline() == 20.0 + HANG_GRACE_S
 
     def test_daemon_without_deadline_keeps_the_backstop(
         self, make_service
     ):
         service = make_service(timeout_s=None)
-        assert (
-            service.pool._hang_deadline()
-            == service.config.hang_timeout_s
-        )
+        assert service.pool._hang_deadline() == HANG_GRACE_S
 
 
 class TestClose:
